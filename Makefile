@@ -2,8 +2,9 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 # Recorded line-coverage floor for src/repro/engine (the chaos suite
-# drives the supervise/faults recovery paths; benchmark.py is exercised by
-# `make bench`, not unit tests, and counts honestly against the total).
+# drives the supervise/faults recovery paths; benchmark.py's legs run under
+# `make bench`, only its gate evaluator and a few leg smokes under unit
+# tests, and it counts honestly against the total).
 # Raised from 76 with the analysis suite (stagecache fingerprints, locks,
 # journal writer guards ride along with the linter's regression tests);
 # raised from 77 with the batch-simulator suite (task batching, store-set
@@ -30,9 +31,11 @@ help:
 	@echo "                    the campaign service killed and resumed"
 	@echo "  make serve-smoke- end-to-end campaign service smoke (submit,"
 	@echo "                    drain, journal/store consistency)"
-	@echo "  make bench      - CI-friendly engine scaling + floorplan anneal"
-	@echo "                    benchmark (writes BENCH_engine.json)"
-	@echo "  make bench-full - full engine scaling benchmark"
+	@echo "  make bench      - quick engine benchmark on 4 workers: writes"
+	@echo "                    BENCH_engine.json with its gate verdicts and"
+	@echo "                    fails on any failed gate (identity, speedup"
+	@echo "                    floors, overhead ceilings)"
+	@echo "  make bench-full - full engine benchmark, same gates"
 	@echo "  make benchmarks - paper-figure benchmark harness (slow)"
 
 test:
@@ -82,9 +85,12 @@ chaos:
 serve-smoke:
 	$(PYTHON) tools/serve_smoke.py
 
-# CI-friendly engine scaling benchmark; writes BENCH_engine.json.
+# Quick engine benchmark on a 4-worker pool (the same call as
+# benchmarks/bench_engine_scaling.py); writes BENCH_engine.json with the
+# verdict of every row of repro.engine.benchmark.GATES and exits non-zero
+# on any failed gate.
 bench:
-	$(PYTHON) -m repro.cli bench --quick
+	$(PYTHON) -m repro.cli bench --quick --jobs 4
 
 bench-full:
 	$(PYTHON) -m repro.cli bench

@@ -1,10 +1,10 @@
 """Shared configuration for the benchmark harness.
 
-Every module regenerates one table/figure of the paper (see DESIGN.md
-Sec. 4): the benchmarked callable runs the experiment, the assertions check
-the *shape* of the result against the paper's claims, and the rendered table
-is echoed so ``pytest benchmarks/ --benchmark-only -s`` reproduces the
-paper's rows.
+Every module regenerates one table/figure of the paper (indexed in
+``src/repro/experiments/__init__.py``): the benchmarked callable runs the
+experiment, the assertions check the *shape* of the result against the
+paper's claims, and the rendered table is echoed so
+``pytest benchmarks/ --benchmark-only -s`` reproduces the paper's rows.
 
 Synthesis runs are memoised per process (repro.experiments.common), so a
 figure that reuses another figure's design points does not pay twice.

@@ -16,8 +16,8 @@ Quickstart::
     result = tool.synthesize()
     print(result.best_power().summary())
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+See README.md for the command-line tour and the repository layout; the
+``benchmarks/`` harness checks every table and figure against the paper.
 """
 
 from repro.core import (

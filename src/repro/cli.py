@@ -15,8 +15,9 @@ Sub-commands:
 * ``sim``        — wormhole-simulate a synthesized benchmark under a
   (scenario × injection scale × seed) traffic campaign fanned across the
   engine pool (``--jobs``); see ``docs/simulator.md``.
-* ``bench``      — run the engine scaling benchmark and write
-  ``BENCH_engine.json`` (perf trajectory tracking).
+* ``bench``      — run the engine scaling benchmark, write
+  ``BENCH_engine.json`` with its gate verdicts, and exit 1 if any gate
+  fails.
 * ``cache``      — inspect or manage the content-addressed on-disk result
   store (``stats`` / ``verify`` / ``clear``); ``synth``, ``sweep`` and
   ``sim`` accept ``--cache`` / ``--cache-dir DIR`` to serve
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from repro.bench.registry import get_benchmark, list_benchmarks
@@ -429,7 +431,6 @@ def _cmd_synth(args) -> int:
         # Beneath it, per-stage memoization shares the same store, so even
         # a *changed* config reuses every stage the change left untouched
         # (see docs/pipeline.md, "Stage memoization").
-        from repro.engine.profile import Timer
         from repro.engine.stagecache import StageCache
         from repro.engine.tasks import SynthesisTask
 
@@ -450,15 +451,15 @@ def _cmd_synth(args) -> int:
                 tool.last_stage_timings = None
             cached = True
         else:
-            with Timer() as timer:
-                result = tool.synthesize(jobs=args.jobs,
-                                         stage_cache=stage_cache,
-                                         **supervision)
+            start = time.perf_counter()
+            result = tool.synthesize(jobs=args.jobs, stage_cache=stage_cache,
+                                     **supervision)
             store.put(
                 fingerprint,
                 {"result": result,
                  "stage_timings": tool.last_stage_timings},
-                task_type="SynthesisTask", elapsed_s=timer.elapsed_s,
+                task_type="SynthesisTask",
+                elapsed_s=time.perf_counter() - start,
             )
     else:
         result = tool.synthesize(jobs=args.jobs, **supervision)
@@ -646,34 +647,14 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.engine.benchmark import run_engine_benchmark
+    from repro.engine.benchmark import format_gates, run_engine_benchmark
 
     report = run_engine_benchmark(
         quick=args.quick, jobs=args.jobs or None, output=args.output,
         log=print,
     )
-    sweep = report["sweep"]
-    cache = report["cache"]
-    stage_cache = report["stage_cache"]
-    paths = report["compute_paths"]
-    floorplan = report["floorplan"]
-    simulator = report["simulator"]
-    service = report["service"]
-    print(
-        f"\nsummary: sweep speedup {sweep['speedup']}x on {sweep['jobs']} "
-        f"worker(s) ({report['cpu_count']} CPU(s) visible), "
-        f"warm-cache speedup {cache['speedup']}x, "
-        f"warm-adjacent stage-cache speedup {stage_cache['speedup']}x, "
-        f"compute_paths speedup {paths['speedup']}x, "
-        f"floorplan anneal speedup {floorplan['speedup']}x "
-        f"({floorplan['incremental_moves_per_s']:,.0f} moves/s), "
-        f"simulator speedup {simulator['speedup']}x "
-        f"({simulator['engine_cycles_per_s']:,.0f} cycles/s), "
-        f"service replay overhead {service['replay_overhead_pct']:+.1f}% "
-        f"({service['lost_jobs']} lost, {service['duplicated_jobs']} "
-        f"duplicated)"
-    )
-    return 0
+    print("\n" + format_gates(report["gates"]))
+    return 1 if any(g["verdict"] == "fail" for g in report["gates"]) else 0
 
 
 def _fmt_bytes(n: int) -> str:

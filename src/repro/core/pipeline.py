@@ -32,10 +32,12 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -186,6 +188,10 @@ class StageFailure(Exception):
 class StageTimings:
     """Per-stage wall-clock accumulator (sample list per stage name).
 
+    The repo's one timing instrument: the pipeline fills it per candidate
+    stage, and the engine benchmark times its legs with :meth:`time` and
+    reads best-of-N figures back with :meth:`best_s`.
+
     Samples served from a stage cache are counted separately: their
     seconds are the *original* execution times replayed from the cached
     entries, and :meth:`report`/:meth:`as_dict` surface how many of each
@@ -234,6 +240,20 @@ class StageTimings:
 
     def total_s(self, name: str) -> float:
         return sum(self._samples.get(name, ()))
+
+    def best_s(self, name: str) -> float:
+        """The fastest sample of ``name`` (0.0 when it never ran)."""
+        return min(self._samples.get(name, ()), default=0.0)
+
+    @contextmanager
+    def time(self, name: str) -> Iterator[None]:
+        """Time the ``with`` body as one sample of ``name`` (recorded even
+        when the body raises)."""
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.add(name, time.perf_counter() - start)
 
     @property
     def any_cached(self) -> bool:
@@ -307,9 +327,10 @@ class Stage:
     outputs from disk at any design point whose inputs hash identically.
     Declarations must never *under*-report reads — a missing input means
     silently-stale hits; over-reporting only costs hit rate. Bump
-    :attr:`salt` whenever :meth:`run`'s behaviour changes
-    (``tools/check_stage_salts.py`` enforces this), which invalidates the
-    stage and every downstream stage. See ``docs/pipeline.md``.
+    :attr:`salt` whenever :meth:`run`'s behaviour changes (the linter's
+    ``stage-salts`` checker, RPL501–RPL504, run by ``make lint``, enforces
+    this), which invalidates the stage and every downstream stage. See
+    ``docs/pipeline.md``.
     """
 
     name: str = ""

@@ -43,25 +43,28 @@ Measures the claims this subsystem makes and writes them to
   digests) and an interrupted-then-resumed run (gated on journal-replay
   overhead <= 5% over the uninterrupted wall time).
 
-Shared by ``python -m repro.cli bench``,
-``benchmarks/bench_engine_scaling.py``,
-``benchmarks/bench_floorplan_anneal.py`` and
-``benchmarks/bench_simulator.py``.
+Every claim above is one row of :data:`GATES`; :func:`run_engine_benchmark`
+judges the report it writes against that table and records the verdicts
+in its ``gates`` block. Shared by ``python -m repro.cli bench`` (``make
+bench``, which exits 1 on any ``fail``) and
+``benchmarks/bench_engine_scaling.py``, which make the same call.
 """
 
 from __future__ import annotations
 
+import json
+import operator
 import os
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from repro.bench.synthetic import synthetic_benchmark
 from repro.core.config import SynthesisConfig
 from repro.core.paths import build_topology_skeleton, compute_paths
 from repro.core.phase1 import phase1_candidate
+from repro.core.pipeline import StageTimings
 from repro.engine.executor import resolve_jobs, run_tasks
 from repro.engine.grid import ParameterGrid, build_tasks
-from repro.engine.profile import ProfileRecorder
 from repro.engine.reference import naive_compute_paths
 from repro.errors import PathComputationError
 from repro.noc.export import design_point_to_dict, topology_to_dict
@@ -107,6 +110,114 @@ def _canonical(results) -> List[Dict]:
     return out
 
 
+#: Pool size of the parallel legs under ``make bench``, and the CPU count
+#: the pool-scaling gates need: a CPU-bound speedup beyond the core count
+#: is physically impossible, so on smaller machines those floors are
+#: recorded, not asserted.
+SCALING_JOBS = 4
+
+
+class Gate(NamedTuple):
+    """One row of :data:`GATES`: ``report[path] <op> bound``, judged only
+    when at least ``min_cpus`` CPUs are visible."""
+
+    path: str
+    op: str
+    bound: object
+    min_cpus: int = 1
+
+
+_COMPARE = {
+    "==": operator.eq, ">": operator.gt,
+    ">=": operator.ge, "<=": operator.le,
+}
+
+#: Every claim the engine benchmark makes, leg by leg. Identity rows are
+#: the contract that makes each speedup meaningful; the same-core floors
+#: and overhead ceilings hold on any machine; the pool-scaling floors need
+#: :data:`SCALING_JOBS` CPUs.
+GATES = (
+    Gate("sweep.identical_points", "==", True),
+    Gate("sweep.valid_points", ">", 0),
+    Gate("sweep.speedup", ">=", 2.0, min_cpus=SCALING_JOBS),
+    # Warm rerun served wholly from the store; unpickling is cheap anywhere.
+    Gate("cache.identical_results", "==", True),
+    Gate("cache.warm_misses", "==", 0),
+    Gate("cache.speedup", ">=", 5.0),
+    # Warm-adjacent sweep re-runs only the invalidated metrics stage.
+    Gate("stage_cache.identical_results", "==", True),
+    Gate("stage_cache.cold_identical_results", "==", True),
+    Gate("stage_cache.delta_stages_only", "==", True),
+    Gate("stage_cache.speedup", ">=", 5.0),
+    Gate("compute_paths.routes_identical", "==", True),
+    Gate("compute_paths.speedup", ">=", 1.3),
+    Gate("floorplan.identical_results", "==", True),
+    Gate("floorplan.speedup", ">=", 3.0),
+    Gate("floorplan.multistart.identical_results", "==", True),
+    Gate("floorplan.multistart.speedup", ">=", 2.0,
+         min_cpus=SCALING_JOBS),
+    Gate("simulator.identical_results", "==", True),
+    Gate("simulator.speedup", ">=", 3.0),
+    Gate("simulator.saturation.identical_results", "==", True),
+    Gate("simulator.campaign.identical_results", "==", True),
+    Gate("simulator.campaign.speedup", ">=", 2.0, min_cpus=SCALING_JOBS),
+    Gate("simulator.batch.identical_trajectories", "==", True),
+    Gate("simulator.batch.speedup_vs_reference", ">=", 10.0),
+    Gate("supervision.identical_results", "==", True),
+    Gate("supervision.overhead_pct", "<=", 5.0),
+    Gate("supervision.recovery.quarantined", "==", 1),
+    Gate("supervision.recovery.poison_attributed", "==", True),
+    Gate("supervision.recovery.survivors_identical", "==", True),
+    Gate("service.lost_jobs", "==", 0),
+    Gate("service.duplicated_jobs", "==", 0),
+    Gate("service.digests_identical", "==", True),
+    Gate("service.replay_overhead_pct", "<=", 5.0),
+)
+
+
+def evaluate_gates(report: Dict, gates: Sequence[Gate] = GATES) -> List[Dict]:
+    """Judge ``report`` row by row: ``{name, value, bound, verdict,
+    reason}`` with ``verdict`` one of ``pass``/``fail``/``skip``.
+
+    A path missing from the report fails, naming the path, whatever the
+    CPU count; a row whose CPU precondition is unmet is ``skip`` with its
+    value still recorded.
+    """
+    cpus = report.get("cpu_count") or 1
+    rows = []
+    for gate in gates:
+        value, found = report, True
+        for key in gate.path.split("."):
+            if not isinstance(value, dict) or key not in value:
+                value, found = None, False
+                break
+            value = value[key]
+        if not found:
+            verdict, reason = "fail", f"{gate.path} missing from the report"
+        elif cpus < gate.min_cpus:
+            verdict = "skip"
+            reason = (f"{value} recorded; needs >= {gate.min_cpus} CPUs, "
+                      f"{cpus} visible")
+        else:
+            held = _COMPARE[gate.op](value, gate.bound)
+            verdict = "pass" if held else "fail"
+            reason = f"{value} {'' if held else 'not '}{gate.op} {gate.bound}"
+        rows.append({"name": gate.path, "value": value, "bound": gate.bound,
+                     "verdict": verdict, "reason": reason})
+    return rows
+
+
+def format_gates(rows: Sequence[Dict]) -> str:
+    """The gate verdicts as an aligned table plus a one-line tally."""
+    width = max((len(r["name"]) for r in rows), default=0)
+    lines = [f"{r['verdict']:<4}  {r['name']:<{width}}  {r['reason']}"
+             for r in rows]
+    tally = {v: sum(r["verdict"] == v for r in rows)
+             for v in ("pass", "fail", "skip")}
+    lines.append("gates: " + ", ".join(f"{n} {v}" for v, n in tally.items()))
+    return "\n".join(lines)
+
+
 def run_engine_benchmark(
     *,
     quick: bool = True,
@@ -114,9 +225,10 @@ def run_engine_benchmark(
     output: Optional[str] = DEFAULT_OUTPUT,
     log: Optional[Callable[[str], None]] = None,
 ) -> Dict:
-    """Run both measurements; returns (and optionally writes) the report."""
+    """Run every leg, judge the report against :data:`GATES`; returns (and
+    optionally writes) the report with its ``stages`` and ``gates``."""
     say = log if log is not None else (lambda _msg: None)
-    recorder = ProfileRecorder()
+    timings = StageTimings()
     # Honour an explicit worker count even above the visible CPU count (the
     # sweep-scaling claim is about a 4-worker pool); keep >= 2 so the
     # parallel leg actually exercises the pool.
@@ -131,12 +243,12 @@ def run_engine_benchmark(
     # Warm lazy imports (scipy LP backend etc.) so the serial baseline's
     # first point is not inflated against the parallel leg.
     run_tasks(tasks[:1], jobs=1)
-    with recorder.time("sweep_serial", points=len(tasks)):
+    with timings.time("sweep_serial"):
         serial = run_tasks(tasks, jobs=1)
-    with recorder.time("sweep_parallel", jobs=workers):
+    with timings.time("sweep_parallel"):
         parallel = run_tasks(tasks, jobs=workers)
-    serial_s = recorder.best_s("sweep_serial")
-    parallel_s = recorder.best_s("sweep_parallel")
+    serial_s = timings.best_s("sweep_serial")
+    parallel_s = timings.best_s("sweep_parallel")
     identical = _canonical(serial) == _canonical(parallel)
     sweep_speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     say(
@@ -144,14 +256,14 @@ def run_engine_benchmark(
         f"-> {sweep_speedup:.2f}x (identical points: {identical})"
     )
 
-    cache_report = _bench_cache(tasks, serial, recorder, say)
-    stage_cache_report = _bench_stage_cache(bench, base, grid, recorder, say)
-    paths_report = _bench_compute_paths(bench, recorder, say)
-    floorplan_report = _bench_floorplan(bench, recorder, say, workers, quick)
-    simulator_report = _bench_simulator(bench, recorder, say, workers, quick)
-    supervision_report = _bench_supervision(tasks, serial, recorder, say,
+    cache_report = _bench_cache(tasks, serial, timings, say)
+    stage_cache_report = _bench_stage_cache(bench, base, grid, timings, say)
+    paths_report = _bench_compute_paths(bench, timings, say)
+    floorplan_report = _bench_floorplan(bench, timings, say, workers, quick)
+    simulator_report = _bench_simulator(bench, timings, say, workers, quick)
+    supervision_report = _bench_supervision(tasks, serial, timings, say,
                                             workers)
-    service_report = _bench_service(recorder, say)
+    service_report = _bench_service(timings, say)
 
     report = {
         "benchmark": "engine-scaling",
@@ -177,57 +289,19 @@ def run_engine_benchmark(
         "simulator": simulator_report,
         "supervision": supervision_report,
         "service": service_report,
+        "stages": timings.as_dict(),
     }
+    report["gates"] = evaluate_gates(report)
     if output:
-        recorder.write_json(output, extra=report)
+        Path(output).write_text(
+            json.dumps(report, indent=2, sort_keys=True) + "\n"
+        )
         say(f"wrote {output}")
     return report
 
 
-def run_floorplan_benchmark(
-    *,
-    quick: bool = True,
-    jobs: Optional[int] = None,
-    log: Optional[Callable[[str], None]] = None,
-) -> Dict:
-    """Run only the floorplan-annealing measurement (no sweep, no routing).
-
-    Used by ``benchmarks/bench_floorplan_anneal.py`` for a focused gate;
-    ``run_engine_benchmark`` embeds the same section in
-    ``BENCH_engine.json``.
-    """
-    say = log if log is not None else (lambda _msg: None)
-    recorder = ProfileRecorder()
-    workers = max(2, resolve_jobs(jobs))
-    bench = _design()
-    report = _bench_floorplan(bench, recorder, say, workers, quick)
-    report["cpu_count"] = os.cpu_count()
-    return report
-
-
-def run_simulator_benchmark(
-    *,
-    quick: bool = True,
-    jobs: Optional[int] = None,
-    log: Optional[Callable[[str], None]] = None,
-) -> Dict:
-    """Run only the wormhole-simulator measurement (no sweep, no routing).
-
-    Used by ``benchmarks/bench_simulator.py`` for a focused gate;
-    ``run_engine_benchmark`` embeds the same section in
-    ``BENCH_engine.json``.
-    """
-    say = log if log is not None else (lambda _msg: None)
-    recorder = ProfileRecorder()
-    workers = max(2, resolve_jobs(jobs))
-    bench = _design()
-    report = _bench_simulator(bench, recorder, say, workers, quick)
-    report["cpu_count"] = os.cpu_count()
-    return report
-
-
 def _bench_cache(
-    tasks, serial_results, recorder: ProfileRecorder,
+    tasks, serial_results, timings: StageTimings,
     say: Callable[[str], None],
 ) -> Dict:
     """Cold vs warm store-backed sweep: the result-reuse claim.
@@ -244,16 +318,16 @@ def _bench_cache(
     tmp = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
         store = ResultStore(tmp)
-        with recorder.time("sweep_cold_store", points=len(tasks)):
+        with timings.time("sweep_cold_store"):
             cold = run_tasks(tasks, jobs=1, store=store)
-        with recorder.time("sweep_warm_store", points=len(tasks)):
+        with timings.time("sweep_warm_store"):
             warm = run_tasks(tasks, jobs=1, store=store)
         stats = store.stats()
         entries, total_bytes = stats.entries, stats.total_bytes
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    cold_s = recorder.best_s("sweep_cold_store")
-    warm_s = recorder.best_s("sweep_warm_store")
+    cold_s = timings.best_s("sweep_cold_store")
+    warm_s = timings.best_s("sweep_warm_store")
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     identical = (
         _canonical(cold) == _canonical(warm) == _canonical(serial_results)
@@ -270,6 +344,7 @@ def _bench_cache(
         "warm_s": round(warm_s, 5),
         "speedup": round(speedup, 3),
         "warm_hits": warm_hits,
+        "warm_misses": len(tasks) - warm_hits,
         "entries": entries,
         "store_bytes": total_bytes,
         "identical_results": identical,
@@ -277,7 +352,7 @@ def _bench_cache(
 
 
 def _bench_stage_cache(
-    bench, base, grid, recorder: ProfileRecorder,
+    bench, base, grid, timings: StageTimings,
     say: Callable[[str], None],
 ) -> Dict:
     """Warm-adjacent sweep over a stage cache: the delta-stages claim.
@@ -304,8 +379,7 @@ def _bench_stage_cache(
 
     Gated claims: the warm-adjacent merge is canonically identical to the
     uncached reference, only the delta stage missed, and the speedup
-    (reference over warm-adjacent) clears the floor in
-    ``benchmarks/bench_engine_scaling.py``.
+    (reference over warm-adjacent) clears its floor in :data:`GATES`.
     """
     import shutil
     import tempfile
@@ -318,9 +392,9 @@ def _bench_stage_cache(
     )
     core_spec, comm_spec = bench.core_spec_3d, bench.comm_spec
     ref_tasks = build_tasks(core_spec, comm_spec, grid, adjacent)
-    with recorder.time("stage_cache_reference", points=len(ref_tasks)):
+    with timings.time("stage_cache_reference"):
         reference = run_tasks(ref_tasks, jobs=1)
-    with recorder.time("stage_cache_plain", points=len(ref_tasks)):
+    with timings.time("stage_cache_plain"):
         plain = run_tasks(
             build_tasks(core_spec, comm_spec, grid, heavy), jobs=1
         )
@@ -330,21 +404,19 @@ def _bench_stage_cache(
         cold_tasks = build_tasks(
             core_spec, comm_spec, grid, heavy, stage_cache_dir=tmp,
         )
-        with recorder.time("stage_cache_cold", points=len(cold_tasks)):
+        with timings.time("stage_cache_cold"):
             cold = run_tasks(cold_tasks, jobs=1)
         warm_tasks = build_tasks(
             core_spec, comm_spec, grid, adjacent, stage_cache_dir=tmp,
         )
-        with recorder.time(
-            "stage_cache_warm_adjacent", points=len(warm_tasks)
-        ):
+        with timings.time("stage_cache_warm_adjacent"):
             warm = run_tasks(warm_tasks, jobs=1)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    ref_s = recorder.best_s("stage_cache_reference")
-    cold_s = recorder.best_s("stage_cache_cold")
-    warm_s = recorder.best_s("stage_cache_warm_adjacent")
+    ref_s = timings.best_s("stage_cache_reference")
+    cold_s = timings.best_s("stage_cache_cold")
+    warm_s = timings.best_s("stage_cache_warm_adjacent")
     speedup = ref_s / warm_s if warm_s > 0 else float("inf")
 
     stats: Dict = {}
@@ -363,7 +435,7 @@ def _bench_stage_cache(
     return {
         "grid_points": len(ref_tasks),
         "reference_s": round(ref_s, 4),
-        "plain_s": round(recorder.best_s("stage_cache_plain"), 4),
+        "plain_s": round(timings.best_s("stage_cache_plain"), 4),
         "cold_s": round(cold_s, 4),
         "warm_adjacent_s": round(warm_s, 4),
         "speedup": round(speedup, 3),
@@ -376,7 +448,7 @@ def _bench_stage_cache(
 
 
 def _bench_compute_paths(
-    bench, recorder: ProfileRecorder, say: Callable[[str], None]
+    bench, timings: StageTimings, say: Callable[[str], None]
 ) -> Dict:
     """Single-threaded optimised vs naive routing on the synthetic design."""
     config = SynthesisConfig(max_ill=16)
@@ -405,12 +477,12 @@ def _bench_compute_paths(
     repeats = 5
     optimized = naive = None
     for _ in range(repeats):
-        with recorder.time("paths_optimized", candidates=len(assignments)):
+        with timings.time("paths_optimized"):
             optimized = route_all(compute_paths)
-        with recorder.time("paths_naive", candidates=len(assignments)):
+        with timings.time("paths_naive"):
             naive = route_all(naive_compute_paths)
-    optimized_s = recorder.best_s("paths_optimized")
-    naive_s = recorder.best_s("paths_naive")
+    optimized_s = timings.best_s("paths_optimized")
+    naive_s = timings.best_s("paths_naive")
     speedup = naive_s / optimized_s if optimized_s > 0 else float("inf")
     identical = optimized == naive
     say(
@@ -433,7 +505,7 @@ _FLOORPLAN_RESTARTS = 4
 
 
 def _bench_floorplan(
-    bench, recorder: ProfileRecorder, say: Callable[[str], None],
+    bench, timings: StageTimings, say: Callable[[str], None],
     workers: int, quick: bool,
 ) -> Dict:
     """Incremental vs naive annealing moves/sec + multi-start scaling.
@@ -461,12 +533,12 @@ def _bench_floorplan(
 
     incremental = naive = None
     for _ in range(3):
-        with recorder.time("floorplan_incremental", moves=moves):
+        with timings.time("floorplan_incremental"):
             incremental = anneal_floorplan(widths, heights, nets, **kwargs)
-        with recorder.time("floorplan_naive", moves=moves):
+        with timings.time("floorplan_naive"):
             naive = naive_anneal_floorplan(widths, heights, nets, **kwargs)
-    incremental_s = recorder.best_s("floorplan_incremental")
-    naive_s = recorder.best_s("floorplan_naive")
+    incremental_s = timings.best_s("floorplan_incremental")
+    naive_s = timings.best_s("floorplan_naive")
     identical = incremental == naive
     speedup = naive_s / incremental_s if incremental_s > 0 else float("inf")
     say(
@@ -484,16 +556,16 @@ def _bench_floorplan(
     )
     serial = parallel = None
     for _ in range(3):
-        with recorder.time("floorplan_multistart_serial"):
+        with timings.time("floorplan_multistart_serial"):
             serial = anneal_floorplan(
                 widths, heights, nets, **multi_kwargs, jobs=1
             )
-        with recorder.time("floorplan_multistart_parallel", jobs=workers):
+        with timings.time("floorplan_multistart_parallel"):
             parallel = anneal_floorplan(
                 widths, heights, nets, **multi_kwargs, jobs=workers
             )
-    serial_s = recorder.best_s("floorplan_multistart_serial")
-    parallel_s = recorder.best_s("floorplan_multistart_parallel")
+    serial_s = timings.best_s("floorplan_multistart_serial")
+    parallel_s = timings.best_s("floorplan_multistart_parallel")
     multi_identical = serial == parallel
     multi_speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     say(
@@ -526,7 +598,7 @@ def _bench_floorplan(
 
 
 def _bench_supervision(
-    tasks, serial_results, recorder: ProfileRecorder,
+    tasks, serial_results, timings: StageTimings,
     say: Callable[[str], None], workers: int,
 ) -> Dict:
     """Fault-free supervision overhead + crash-recovery wall time.
@@ -548,15 +620,15 @@ def _bench_supervision(
     deadline_s = 300.0  # generous: never fires fault-free
     plain = armed = None
     for _ in range(3):
-        with recorder.time("supervision_plain", jobs=workers):
+        with timings.time("supervision_plain"):
             plain = run_tasks(tasks, jobs=workers)
-        with recorder.time("supervision_armed", jobs=workers):
+        with timings.time("supervision_armed"):
             armed = run_tasks(
                 tasks, jobs=workers, retry=retry,
                 task_timeout_s=deadline_s, on_error="quarantine",
             )
-    plain_s = recorder.best_s("supervision_plain")
-    armed_s = recorder.best_s("supervision_armed")
+    plain_s = timings.best_s("supervision_plain")
+    armed_s = timings.best_s("supervision_armed")
     overhead_pct = (
         (armed_s - plain_s) / plain_s * 100.0 if plain_s > 0 else 0.0
     )
@@ -577,14 +649,14 @@ def _bench_supervision(
         # (a once-only crash would be acquitted by the solo re-run).
         plan = FaultPlan(tmp, {crash_index: FaultSpec("crash", times=100)})
         faulty = inject_faults(tasks, plan)
-        with recorder.time("supervision_recovery", jobs=workers):
+        with timings.time("supervision_recovery"):
             recovered = run_tasks(
                 faulty, jobs=workers, task_timeout_s=deadline_s,
                 on_error="quarantine",
             )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    recovery_s = recorder.best_s("supervision_recovery")
+    recovery_s = timings.best_s("supervision_recovery")
     quarantined = [r for r in recovered if r.error is not None]
     poison_attributed = (
         len(quarantined) == 1
@@ -642,7 +714,7 @@ _SERVICE_SPECS = (
 
 
 def _bench_service(
-    recorder: ProfileRecorder, say: Callable[[str], None],
+    timings: StageTimings, say: Callable[[str], None],
 ) -> Dict:
     """Campaign-service throughput and durability cost.
 
@@ -689,23 +761,23 @@ def _bench_service(
 
     root = Path(tempfile.mkdtemp(prefix="repro-bench-service-"))
     try:
-        with recorder.time("service_sequential", jobs=1):
+        with timings.time("service_sequential"):
             with CampaignService(
                 root / "sequential", batch_size=whole_job,
             ) as svc:
                 for spec in specs:
                     svc.submit(spec)
                     svc.run_until_idle(poll_inbox=False)
-        sequential_s = recorder.best_s("service_sequential")
+        sequential_s = timings.best_s("service_sequential")
 
-        with recorder.time("service_concurrent", jobs=1):
+        with timings.time("service_concurrent"):
             with CampaignService(root / "concurrent", batch_size=1) as svc:
                 for spec in specs:
                     svc.submit(spec)
                 svc.run_until_idle(poll_inbox=False)
-        concurrent_s = recorder.best_s("service_concurrent")
+        concurrent_s = timings.best_s("service_concurrent")
 
-        with recorder.time("service_interrupted", jobs=1):
+        with timings.time("service_interrupted"):
             with CampaignService(
                 root / "interrupted", batch_size=1,
             ) as svc:
@@ -719,7 +791,7 @@ def _bench_service(
                 root / "interrupted", batch_size=1, resume=True,
             ) as svc:
                 svc.run_until_idle(poll_inbox=False)
-        interrupted_s = recorder.best_s("service_interrupted")
+        interrupted_s = timings.best_s("service_interrupted")
 
         sequential_digests = digests(root / "sequential")
         concurrent_digests = digests(root / "concurrent")
@@ -782,7 +854,7 @@ _SIM_BATCH_IDENTITY_K = 4
 
 
 def _bench_simulator(
-    bench, recorder: ProfileRecorder, say: Callable[[str], None],
+    bench, timings: StageTimings, say: Callable[[str], None],
     workers: int, quick: bool,
 ) -> Dict:
     """Array-based engine vs naive wormhole simulator + campaign scaling.
@@ -819,16 +891,16 @@ def _bench_simulator(
         )
         engine_stats = naive_stats = None
         for _ in range(3):
-            with recorder.time(f"sim_engine_{stage}", cycles=cycles):
+            with timings.time(f"sim_engine_{stage}"):
                 engine_stats = WormholeSimulator(topo, seed=_SIM_SEED).run(
                     cycles=cycles, warmup=warmup, injection_scale=scale
                 )
-            with recorder.time(f"sim_naive_{stage}", cycles=cycles):
+            with timings.time(f"sim_naive_{stage}"):
                 naive_stats = ReferenceWormholeSimulator(
                     topo, seed=_SIM_SEED
                 ).run(cycles=cycles, warmup=warmup, injection_scale=scale)
-        engine_s = recorder.best_s(f"sim_engine_{stage}")
-        naive_s = recorder.best_s(f"sim_naive_{stage}")
+        engine_s = timings.best_s(f"sim_engine_{stage}")
+        naive_s = timings.best_s(f"sim_naive_{stage}")
         total_cycles = cycles + engine_stats.drain_cycles
         speedup = naive_s / engine_s if engine_s > 0 else float("inf")
         identical = engine_stats == naive_stats
@@ -865,12 +937,12 @@ def _bench_simulator(
     run_tasks(tasks, jobs=workers)  # warm the pool code path
     serial = parallel = None
     for _ in range(3):
-        with recorder.time("sim_campaign_serial", tasks=len(tasks)):
+        with timings.time("sim_campaign_serial"):
             serial = run_tasks(tasks, jobs=1)
-        with recorder.time("sim_campaign_parallel", jobs=workers):
+        with timings.time("sim_campaign_parallel"):
             parallel = run_tasks(tasks, jobs=workers)
-    serial_s = recorder.best_s("sim_campaign_serial")
-    parallel_s = recorder.best_s("sim_campaign_parallel")
+    serial_s = timings.best_s("sim_campaign_serial")
+    parallel_s = timings.best_s("sim_campaign_parallel")
     campaign_identical = (
         [r.result for r in serial] == [r.result for r in parallel]
     )
@@ -881,7 +953,7 @@ def _bench_simulator(
         f"(identical merge: {campaign_identical})"
     )
 
-    batch_report = _bench_sim_batch(topo, recorder, say, cycles, warmup,
+    batch_report = _bench_sim_batch(topo, timings, say, cycles, warmup,
                                     quick)
 
     report = dict(gate)
@@ -903,7 +975,7 @@ def _bench_simulator(
 
 
 def _bench_sim_batch(
-    topo, recorder: ProfileRecorder, say: Callable[[str], None],
+    topo, timings: StageTimings, say: Callable[[str], None],
     cycles: int, warmup: int, quick: bool,
 ) -> Dict:
     """The vectorised K-replication batch engine: campaign reps/sec per core.
@@ -964,17 +1036,17 @@ def _bench_sim_batch(
     sim.run_batch(batch_seeds[:8], cycles=200, warmup=0,
                   injection_scale=scale)  # warm the vectorised path
     for _ in range(3):
-        with recorder.time("sim_batch_engine", replications=k):
+        with timings.time("sim_batch_engine"):
             sim.run_batch(batch_seeds, cycles=cycles, warmup=warmup,
                           injection_scale=scale)
-    batch_s = recorder.best_s("sim_batch_engine")
+    batch_s = timings.best_s("sim_batch_engine")
     batch_rate = k / batch_s
 
     # Per-process solo baselines, one replication at a time on the same
     # core. ``measure(_SIM_GATE_SCALE, "gate")`` already timed both solo
     # loops (best of 3) at identical cycles/scale/seed — reuse them.
-    solo_engine_s = recorder.best_s("sim_engine_gate")
-    reference_s = recorder.best_s("sim_naive_gate")
+    solo_engine_s = timings.best_s("sim_engine_gate")
+    reference_s = timings.best_s("sim_naive_gate")
     solo_engine_rate = 1.0 / solo_engine_s if solo_engine_s > 0 else 0.0
     reference_rate = 1.0 / reference_s if reference_s > 0 else 0.0
     vs_reference = (

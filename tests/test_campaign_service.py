@@ -234,9 +234,9 @@ def test_bench_service_section():
     interrupted-then-resumed runs of the same campaigns lose nothing,
     duplicate nothing, and agree byte for byte."""
     from repro.engine.benchmark import _bench_service
-    from repro.engine.profile import ProfileRecorder
+    from repro.core.pipeline import StageTimings
 
-    report = _bench_service(ProfileRecorder(), lambda _m: None)
+    report = _bench_service(StageTimings(), lambda _m: None)
     assert report["lost_jobs"] == 0
     assert report["duplicated_jobs"] == 0
     assert report["digests_identical"]

@@ -9,17 +9,17 @@ import pytest
 
 from repro.bench.synthetic import synthetic_benchmark
 from repro.core.config import SynthesisConfig
+from repro.core.pipeline import StageTimings
 from repro.engine import (
     GridPoint,
     ParameterGrid,
-    ProfileRecorder,
     SynthesisTask,
-    Timer,
     build_tasks,
     resolve_jobs,
     run_task,
     run_tasks,
 )
+from repro.engine import benchmark as bm
 from repro.errors import EngineError, SpecError, SynthesisError
 from repro.noc.export import design_point_to_dict
 
@@ -236,29 +236,6 @@ class TestSuiteDesignSpace:
         }
 
 
-class TestProfile:
-    def test_timer_measures(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.elapsed_s >= 0.0
-
-    def test_recorder_accumulates_and_writes(self, tmp_path):
-        rec = ProfileRecorder()
-        rec.record("stage", 0.5, note="a")
-        rec.record("stage", 0.25)
-        with rec.time("other"):
-            pass
-        assert rec.stage("stage").count == 2
-        assert rec.best_s("stage") == 0.25
-        assert rec.stage("stage").total_s == pytest.approx(0.75)
-        path = tmp_path / "bench.json"
-        doc = rec.write_json(path, extra={"benchmark": "x"})
-        on_disk = json.loads(path.read_text())
-        assert on_disk == doc
-        assert on_disk["benchmark"] == "x"
-        assert set(on_disk["stages"]) == {"stage", "other"}
-
-
 class TestSimBatchBenchmarkLeg:
     """Fast smoke over the batch leg of the simulator benchmark: the
     trajectory-identity check and the reps/sec ratios, on the tiny test
@@ -267,17 +244,15 @@ class TestSimBatchBenchmarkLeg:
 
     def test_report_shape_identity_and_ratios(self, contended_topo,
                                               monkeypatch):
-        from repro.engine import benchmark as bm
-
         monkeypatch.setattr(bm, "_SIM_BATCH_K_QUICK", 8)
-        recorder = ProfileRecorder()
+        timings = StageTimings()
         # The solo per-process baselines _bench_sim_batch reuses; in the
         # real benchmark measure() records them at identical load.
-        recorder.record("sim_engine_gate", 0.05)
-        recorder.record("sim_naive_gate", 0.50)
+        timings.add("sim_engine_gate", 0.05)
+        timings.add("sim_naive_gate", 0.50)
         lines = []
         report = bm._bench_sim_batch(
-            contended_topo, recorder, lines.append,
+            contended_topo, timings, lines.append,
             cycles=400, warmup=40, quick=True,
         )
         assert report["identical_trajectories"]
@@ -291,4 +266,96 @@ class TestSimBatchBenchmarkLeg:
             10.0 * report["speedup_vs_solo_engine"], rel=1e-3
         )
         assert len(lines) == 2  # identity line + throughput line
-        assert recorder.best_s("sim_batch_engine") > 0
+        assert timings.best_s("sim_batch_engine") > 0
+
+
+class TestBenchmarkGates:
+    """The engine benchmark's gate evaluator on synthetic report dicts (no
+    leg runs), and ``cli bench``'s exit status on its verdicts."""
+
+    ROWS = (
+        bm.Gate("leg.speedup", ">=", 3.0),
+        bm.Gate("leg.overhead_pct", "<=", 5.0),
+        bm.Gate("leg.pool_speedup", ">=", 2.0, min_cpus=4),
+    )
+
+    @staticmethod
+    def _report(cpu_count=1, **leg):
+        values = {"speedup": 4.0, "overhead_pct": 1.0, "pool_speedup": 1.1}
+        return {"cpu_count": cpu_count, "leg": {**values, **leg}}
+
+    def test_passing_and_failing_rows(self):
+        passing, failing = bm.evaluate_gates(
+            self._report(overhead_pct=28.4), self.ROWS[:2]
+        )
+        assert passing == {
+            "name": "leg.speedup", "value": 4.0, "bound": 3.0,
+            "verdict": "pass", "reason": "4.0 >= 3.0",
+        }
+        assert failing["verdict"] == "fail"
+        assert failing["value"] == 28.4
+        assert failing["reason"] == "28.4 not <= 5.0"
+
+    def test_cpu_gated_row_skips_below_its_precondition(self):
+        row = self.ROWS[2]
+        (skipped,) = bm.evaluate_gates(self._report(cpu_count=2), [row])
+        assert skipped["verdict"] == "skip"
+        assert skipped["value"] == 1.1  # recorded, not asserted
+        assert "needs >= 4 CPUs, 2 visible" in skipped["reason"]
+        (judged,) = bm.evaluate_gates(self._report(cpu_count=4), [row])
+        assert judged["verdict"] == "fail"
+        (judged,) = bm.evaluate_gates(
+            self._report(cpu_count=4, pool_speedup=2.5), [row]
+        )
+        assert judged["verdict"] == "pass"
+
+    @pytest.mark.parametrize("report", [
+        {"cpu_count": 2, "leg": {"overhead_pct": 1.0}},  # key absent
+        {"cpu_count": 2},                                # section absent
+        {"cpu_count": 2, "leg": 3.0},                    # not a section
+    ])
+    def test_missing_key_fails_naming_the_path(self, report):
+        rows = bm.evaluate_gates(report, [self.ROWS[0], self.ROWS[2]])
+        # Even the CPU-gated row fails rather than skipping.
+        assert [r["verdict"] for r in rows] == ["fail", "fail"]
+        assert rows[0]["reason"] == "leg.speedup missing from the report"
+        assert rows[1]["reason"] == (
+            "leg.pool_speedup missing from the report"
+        )
+        assert rows[0]["value"] is None
+
+    def test_gate_table_well_formed(self):
+        paths = [gate.path for gate in bm.GATES]
+        assert len(set(paths)) == len(paths)
+        assert all(gate.op in bm._COMPARE for gate in bm.GATES)
+        gated = {g.path for g in bm.GATES if g.min_cpus > 1}
+        assert gated == {
+            "sweep.speedup", "floorplan.multistart.speedup",
+            "simulator.campaign.speedup",
+        }
+        assert all(g.min_cpus == bm.SCALING_JOBS for g in bm.GATES
+                   if g.path in gated)
+
+    @pytest.mark.parametrize("leg, exit_code", [
+        ({}, 0),
+        ({"speedup": 1.0}, 1),
+    ])
+    def test_cli_bench_exit_status(self, monkeypatch, capsys, leg,
+                                   exit_code):
+        from repro.cli import main
+
+        calls = []
+
+        def fake_runner(**kwargs):
+            calls.append(kwargs)
+            report = self._report(**leg)
+            report["gates"] = bm.evaluate_gates(report, self.ROWS)
+            return report
+
+        monkeypatch.setattr(bm, "run_engine_benchmark", fake_runner)
+        assert main(["bench", "--quick", "--jobs", "4"]) == exit_code
+        assert calls[0]["quick"] is True and calls[0]["jobs"] == 4
+        out = capsys.readouterr().out
+        fails = 1 if exit_code else 0
+        assert f"gates: {2 - fails} pass, {fails} fail, 1 skip" in out
+        assert ("fail  leg.speedup" in out) == bool(exit_code)

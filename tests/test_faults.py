@@ -544,7 +544,7 @@ class TestSupervisionBenchmark:
         from repro.core.config import SynthesisConfig
         from repro.engine import ParameterGrid, build_tasks
         from repro.engine.benchmark import _bench_supervision
-        from repro.engine.profile import ProfileRecorder
+        from repro.core.pipeline import StageTimings
 
         bench = synthetic_benchmark(
             10, "random", num_layers=2, seed=11, floorplan_moves=300
@@ -556,7 +556,7 @@ class TestSupervisionBenchmark:
         )
         serial = run_tasks(tasks, jobs=1)
         report = _bench_supervision(
-            tasks, serial, ProfileRecorder(), lambda _m: None, 2
+            tasks, serial, StageTimings(), lambda _m: None, 2
         )
         assert report["identical_results"]
         recovery = report["recovery"]

@@ -7,8 +7,8 @@ copy-based legacy CDG — and asserts the optimised
 :func:`repro.core.paths.compute_paths` produces identical routes, loads and
 port counts on the D_26-style synthetic graph, across flow-count scaling
 steps. Timings are printed (visible with ``-s``); the hard >= 1.3x speedup
-gate lives in ``benchmarks/bench_engine_scaling.py`` where timing noise is
-controlled.
+gate is the ``compute_paths.speedup`` row of
+:data:`repro.engine.benchmark.GATES`, judged by ``make bench``.
 """
 
 from __future__ import annotations

@@ -1,94 +1,11 @@
-"""Wall-clock instrumentation (repro.engine.profile) and the staged
-pipeline's StageTimings formatting/aggregation paths."""
+"""StageTimings, the repo's one wall-clock instrument: aggregation,
+best-of-N, the ``time()`` context manager and the plain-text report."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.core.pipeline import StageTimings
-from repro.engine.profile import ProfileRecorder, StageRecord, Timer
-
-
-class TestTimer:
-    def test_measures_elapsed(self):
-        with Timer() as t:
-            pass
-        assert t.elapsed_s >= 0.0
-
-    def test_restart_resets(self):
-        t = Timer()
-        with t:
-            pass
-        t.restart()
-        assert t.elapsed_s == 0.0
-
-    def test_elapsed_survives_exceptions(self):
-        t = Timer()
-        with pytest.raises(ValueError):
-            with t:
-                raise ValueError("boom")
-        assert t.elapsed_s >= 0.0
-
-
-class TestStageRecord:
-    def test_empty_record(self):
-        record = StageRecord("synth")
-        assert record.total_s == 0.0
-        assert record.best_s == 0.0
-        assert record.count == 0
-        assert record.as_dict() == {"total_s": 0.0, "best_s": 0.0, "count": 0}
-
-    def test_aggregates(self):
-        record = StageRecord("synth", times_s=[0.5, 0.25, 1.0])
-        assert record.total_s == 1.75
-        assert record.best_s == 0.25
-        assert record.count == 3
-
-    def test_meta_serialised_only_when_present(self):
-        record = StageRecord("s", times_s=[1.0], meta={"jobs": 4})
-        assert record.as_dict()["meta"] == {"jobs": 4}
-
-
-class TestProfileRecorder:
-    def test_record_accumulates_and_merges_meta(self):
-        rec = ProfileRecorder()
-        rec.record("sweep", 1.0, points=8)
-        rec.record("sweep", 0.5, jobs=2)
-        stage = rec.stage("sweep")
-        assert stage.times_s == [1.0, 0.5]
-        assert stage.meta == {"points": 8, "jobs": 2}
-        assert rec.best_s("sweep") == 0.5
-
-    def test_unknown_stage(self):
-        rec = ProfileRecorder()
-        assert rec.stage("nope") is None
-        assert rec.best_s("nope") == 0.0
-
-    def test_time_context_manager_records(self):
-        rec = ProfileRecorder()
-        with rec.time("step", cycles=100):
-            pass
-        assert rec.stage("step").count == 1
-        assert rec.stage("step").meta == {"cycles": 100}
-
-    def test_as_dict_sorted_by_name(self):
-        rec = ProfileRecorder()
-        rec.record("zeta", 1.0)
-        rec.record("alpha", 2.0)
-        assert list(rec.as_dict()) == ["alpha", "zeta"]
-
-    def test_write_json_roundtrip(self, tmp_path):
-        rec = ProfileRecorder()
-        rec.record("sweep", 0.125, points=4)
-        out = tmp_path / "bench.json"
-        doc = rec.write_json(out, extra={"benchmark": "unit"})
-        on_disk = json.loads(out.read_text())
-        assert on_disk == doc
-        assert on_disk["benchmark"] == "unit"
-        assert on_disk["stages"]["sweep"]["count"] == 1
-        assert on_disk["stages"]["sweep"]["total_s"] == 0.125
 
 
 class TestStageTimings:
@@ -106,6 +23,30 @@ class TestStageTimings:
         assert timings.total_s("routing") == 0.75
         assert timings.count("missing") == 0
         assert timings.total_s("missing") == 0.0
+
+    def test_best_s(self):
+        timings = self._timings()
+        assert timings.best_s("routing") == 0.25
+        assert timings.best_s("floorplan") == 2.0
+        assert timings.best_s("missing") == 0.0
+
+    def test_time_records_one_sample(self):
+        timings = StageTimings()
+        with timings.time("step"):
+            pass
+        with timings.time("step"):
+            pass
+        assert timings.names == ["step"]
+        assert timings.count("step") == 2
+        assert 0.0 <= timings.best_s("step") <= timings.total_s("step")
+
+    def test_time_records_when_body_raises(self):
+        timings = StageTimings()
+        with pytest.raises(ValueError):
+            with timings.time("step"):
+                raise ValueError("boom")
+        assert timings.count("step") == 1
+        assert timings.total_s("step") >= 0.0
 
     def test_merge_folds_worker_dicts(self):
         timings = self._timings()
