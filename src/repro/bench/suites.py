@@ -258,11 +258,6 @@ def suite_design_space(
     progress: Optional["ProgressFn"] = None,
     stages: Optional[Sequence] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
-    stage_cache_dir: Optional[str] = None,
-    stage_cache_salt: Optional[str] = None,
 ) -> Dict[str, Dict["GridPoint", "SynthesisResult"]]:
     """Explore an architectural grid over a whole benchmark suite at once.
 
@@ -285,13 +280,6 @@ def suite_design_space(
             (benchmark, point) pairs are served from disk and fresh ones
             checkpointed incrementally, so an interrupted exploration
             resumes on rerun with bit-identical merged results.
-        retry / task_timeout_s / on_error: The engine's supervision knobs
-            (see :func:`repro.engine.run_tasks`); quarantined pairs are
-            absent from the merged mapping.
-        stage_cache_dir / stage_cache_salt: Per-stage memoization
-            (:mod:`repro.engine.stagecache`): pipeline stages whose inputs
-            repeat across grid points — or across benchmarks sharing a
-            sub-design — are served from disk, bit-identically.
 
     Returns:
         ``{benchmark name: {grid point: merged synthesis result}}`` with
@@ -314,23 +302,14 @@ def suite_design_space(
     for name in names:
         bench = get_benchmark(name)
         core_spec = bench.core_spec_3d if dims == "3d" else bench.core_spec_2d
-        for task in build_tasks(
-            core_spec, bench.comm_spec, grid, base_config,
-            stage_cache_dir=stage_cache_dir,
-            stage_cache_salt=stage_cache_salt,
-        ):
+        for task in build_tasks(core_spec, bench.comm_spec, grid, base_config):
             tasks.append(dataclasses.replace(
                 task, key=(name, task.key), stages=stage_spec,
             ))
 
-    results = run_tasks(
-        tasks, jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-    )
+    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
     merged: Dict[str, Dict["GridPoint", "SynthesisResult"]] = {}
     for task_result in results:
-        if task_result.error is not None:
-            continue
         name, point = task_result.key
         merged.setdefault(name, {})[point] = task_result.result
     return merged

@@ -20,11 +20,12 @@ Two campaign kinds cover the paper's two experiment families:
   design point (store-backed, so a resumed campaign re-derives the
   *identical* topology from cache), then one
   :class:`~repro.engine.tasks.SimulationTask` per
-  (scenario × injection scale × seed) — or, with ``"batch": K``, one
-  :class:`~repro.engine.tasks.BatchSimulationTask` per seed chunk of up
-  to ``K`` on the vectorised lockstep engine. Per-replication results
-  and store fingerprints are identical either way, so batched and solo
-  campaigns resume through the same cache entries.
+  (scenario × injection scale × seed chunk), built by
+  :func:`~repro.engine.tasks.simulation_tasks`. Chunks hold one seed, or
+  up to ``K`` seeds with ``"batch": K`` (run on the vectorised lockstep
+  engine). Per-seed results and store fingerprints are identical either
+  way, so batched and solo campaigns resume through the same cache
+  entries.
 
 Validation philosophy matches :mod:`repro.spec.validate` but goes one step
 further: :func:`validate_campaign` returns **every** problem it can find,
@@ -102,9 +103,9 @@ class CampaignSpec:
     cycles: int = 4_000
     warmup: int = 400
     packet_length_flits: int = 4
-    #: Replications per engine task: ``None``/``1`` = one task per seed,
-    #: ``K > 1`` = seeds batched K at a time onto the vectorised lockstep
-    #: engine. Results and store fingerprints are identical either way.
+    #: Seeds per engine task: ``None``/``1`` = one task per seed, ``K > 1``
+    #: = seeds batched K at a time onto the vectorised lockstep engine.
+    #: Results and store fingerprints are identical either way.
     batch: Optional[int] = None
 
     @classmethod
@@ -197,10 +198,10 @@ class CampaignSpec:
         (excluding a sim campaign's store-backed synthesis prestep)."""
         if self.kind == "sweep":
             return self.parameter_grid().size
-        per_point = len(self.seeds)
-        if self.batch is not None and self.batch > 1:
-            per_point = -(-len(self.seeds) // self.batch)  # ceil division
-        return len(self.scenarios) * per_point * len(self.injection_scales)
+        from repro.engine.tasks import seed_chunks
+
+        return (len(self.scenarios) * len(self.injection_scales)
+                * len(seed_chunks(self.seeds, self.batch)))
 
 
 def validate_campaign(data: Any) -> List[SpecIssue]:
@@ -283,68 +284,23 @@ def compile_campaign(
         ))
 
     # kind == "sim": synthesize the best point, then fan out the traffic grid.
-    from repro.engine.executor import run_tasks
-    from repro.engine.tasks import SimulationTask, SynthesisTask
-    from repro.noc.scenarios import make_scenario
+    from repro.engine.tasks import simulation_tasks
+    from repro.experiments.common import best_point
 
-    synthesis = SynthesisTask(
-        key=("campaign-synthesis", spec.benchmark, spec.dims),
-        core_spec=core_spec,
-        comm_spec=bench.comm_spec,
-        config=config,
-        stage_cache_dir=stage_cache_dir,
-    )
-    outcome = run_tasks([synthesis], jobs=1, store=store)[0]
-    if outcome.error is not None:
-        raise CampaignError(
-            f"campaign {spec.name!r}: prerequisite synthesis failed: "
-            f"{outcome.error}"
-        )
     try:
-        point = outcome.result.best(config.objective)
+        point = best_point(
+            spec.benchmark, spec.dims, config, config.objective,
+            store=store, stage_cache_dir=stage_cache_dir,
+        )
     except ReproError as exc:
         raise CampaignError(
             f"campaign {spec.name!r}: no design point to simulate "
             f"(benchmark {spec.benchmark}, dims {spec.dims}): {exc}"
         )
-    scenario_objs = [make_scenario(s) for s in spec.scenarios]
-    if spec.batch is not None and spec.batch > 1:
-        from repro.engine.tasks import BatchSimulationTask
-
-        chunks = [
-            spec.seeds[i:i + spec.batch]
-            for i in range(0, len(spec.seeds), spec.batch)
-        ]
-        return [
-            BatchSimulationTask(
-                key=(scen.label(), scale, chunk),
-                topology=point.topology,
-                seeds=chunk,
-                packet_length_flits=spec.packet_length_flits,
-                cycles=spec.cycles,
-                warmup=spec.warmup,
-                injection_scale=scale,
-                scenario=scen,
-            )
-            for scen in scenario_objs
-            for scale in spec.injection_scales
-            for chunk in chunks
-        ]
-    return [
-        SimulationTask(
-            key=(scen.label(), scale, seed),
-            topology=point.topology,
-            packet_length_flits=spec.packet_length_flits,
-            seed=seed,
-            cycles=spec.cycles,
-            warmup=spec.warmup,
-            injection_scale=scale,
-            scenario=scen,
-        )
-        for scen in scenario_objs
-        for scale in spec.injection_scales
-        for seed in spec.seeds
-    ]
+    return simulation_tasks(
+        point.topology, spec.scenarios, spec.injection_scales, spec.seeds,
+        spec.batch, spec.cycles, spec.warmup, spec.packet_length_flits,
+    )
 
 
 # --------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.bench.registry import get_benchmark, list_benchmarks
@@ -405,6 +406,21 @@ def _load_specs(args):
     return core_spec, comm_spec
 
 
+@dataclass(frozen=True)
+class SynthRunRecord:
+    """The content address of one ``synth --cache`` run's record.
+
+    The record holds the result together with its stage timings, so it has
+    an address of its own: the :class:`~repro.engine.tasks.SynthesisTask`
+    of the same point holds the bare result that engine callers (``sim``,
+    campaigns) are served.
+    """
+
+    core_spec: object
+    comm_spec: object
+    config: SynthesisConfig
+
+
 def _cmd_synth(args) -> int:
     core_spec, comm_spec = _load_specs(args)
     switch_range = _parse_switch_range(args.switches)
@@ -432,23 +448,15 @@ def _cmd_synth(args) -> int:
         # a *changed* config reuses every stage the change left untouched
         # (see docs/pipeline.md, "Stage memoization").
         from repro.engine.stagecache import StageCache
-        from repro.engine.tasks import SynthesisTask
 
         stage_cache = StageCache(store)
-        task = SynthesisTask(key="synth", core_spec=core_spec,
-                             comm_spec=comm_spec, config=config)
-        fingerprint = store.fingerprint(task)
+        fingerprint = store.fingerprint(SynthRunRecord(
+            core_spec=core_spec, comm_spec=comm_spec, config=config,
+        ))
         entry = store.get(fingerprint)
         if entry is not None:
-            payload = entry.payload
-            if isinstance(payload, dict) and "result" in payload:
-                result = payload["result"]
-                tool.last_stage_timings = payload.get("stage_timings")
-            else:
-                # Legacy entry from before timings rode along with the
-                # result; still served, just without a stage breakdown.
-                result = payload
-                tool.last_stage_timings = None
+            result = entry.payload["result"]
+            tool.last_stage_timings = entry.payload["stage_timings"]
             cached = True
         else:
             start = time.perf_counter()
@@ -458,7 +466,7 @@ def _cmd_synth(args) -> int:
                 fingerprint,
                 {"result": result,
                  "stage_timings": tool.last_stage_timings},
-                task_type="SynthesisTask",
+                task_type="SynthRunRecord",
                 elapsed_s=time.perf_counter() - start,
             )
     else:
@@ -471,15 +479,9 @@ def _cmd_synth(args) -> int:
         print()
     if args.stage_timings:
         timings = tool.last_stage_timings
-        if timings is None:
-            # Only possible for pre-upgrade cache entries that stored the
-            # bare result without its timings.
-            print("per-stage timings unavailable: cache entry predates "
-                  "persisted timings")
-        else:
-            if cached:
-                timings.mark_all_cached()
-            print(timings.report())
+        if cached:
+            timings.mark_all_cached()
+        print(timings.report())
         print()
         if stage_cache is not None and stage_cache.stats_dict():
             from repro.engine.stagecache import format_stage_cache_summary

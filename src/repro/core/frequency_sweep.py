@@ -21,14 +21,6 @@ serial run. Pass ``store`` (a :class:`~repro.engine.store.ResultStore`) to
 serve already-computed points from disk and checkpoint fresh ones as they
 finish — an interrupted sweep rerun with the same store resumes instead of
 recomputing, with bit-identical merged results.
-
-Fault tolerance rides on the engine's supervision layer: ``retry=`` (a
-:class:`~repro.engine.supervise.RetryPolicy`) re-runs transiently failing
-points, ``task_timeout_s=`` bounds each point's wall clock, and
-``on_error="quarantine"`` lets a sweep *complete* around a point that
-crashes its worker — the casualty is excluded from the merged result (and
-reported in ``FrequencySweepResult.quarantined``) instead of aborting the
-campaign. See ``docs/engine.md`` ("Failure semantics").
 """
 
 from __future__ import annotations
@@ -50,17 +42,12 @@ from repro.spec.core_spec import CoreSpec
 class FrequencySweepResult:
     """Per-frequency synthesis results, merged.
 
-    ``quarantined`` maps frequencies whose point was lost to supervision
-    (worker crash, deadline expiry) under ``on_error="quarantine"`` to the
-    error message; those frequencies are absent from ``per_frequency``.
-
     ``stage_cache`` aggregates the per-stage hit/miss/bytes counters of a
     stage-cached sweep (``{stage: {hits, misses, ...}}``, empty when stage
     caching was off — see :mod:`repro.engine.stagecache`).
     """
 
     per_frequency: Dict[float, SynthesisResult] = field(default_factory=dict)
-    quarantined: Dict[float, str] = field(default_factory=dict)
     stage_cache: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
@@ -116,9 +103,6 @@ def sweep_frequencies(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
     stage_cache_dir: Optional[str] = None,
     stage_cache_salt: Optional[str] = None,
 ) -> FrequencySweepResult:
@@ -127,10 +111,7 @@ def sweep_frequencies(
     All frequencies are validated before any synthesis starts, so a bad
     value midway through the list cannot discard already-computed points.
     Frequencies whose link capacity cannot carry the largest single flow
-    are merged as empty results, as before. ``retry`` / ``task_timeout_s``
-    / ``on_error`` are the engine's supervision knobs (see
-    :func:`repro.engine.run_tasks`); under ``on_error="quarantine"`` lost
-    points land in ``FrequencySweepResult.quarantined``.
+    are merged as empty results, as before.
 
     ``stage_cache_dir`` (usually the store directory) arms per-stage
     memoization: only the frequency-sensitive stages re-run per point,
@@ -150,16 +131,10 @@ def sweep_frequencies(
         base, library,
         stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
     )
-    results = run_tasks(
-        tasks, jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-    )
+    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
     sweep = FrequencySweepResult()
     for freq, task_result in zip(freqs, results):
-        if task_result.error is not None:
-            sweep.quarantined[freq] = str(task_result.error)
-        else:
-            sweep.per_frequency[freq] = task_result.result
+        sweep.per_frequency[freq] = task_result.result
         if task_result.stage_cache:
             from repro.engine.stagecache import merge_stage_stats
 
@@ -177,19 +152,13 @@ def sweep_alpha(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
-    stage_cache_dir: Optional[str] = None,
-    stage_cache_salt: Optional[str] = None,
 ) -> Dict[float, SynthesisResult]:
     """Sweep the PG weight parameter α of Def. 3.
 
     "The parameter α can be set by the designer based on the application
     characteristics or swept by the tool over a range of values, in order to
     meet the latency constraints." Smaller α weights latency-critical flows
-    more heavily during partitioning. Under ``on_error="quarantine"`` lost
-    points are absent from the returned dict.
+    more heavily during partitioning.
     """
     values = [float(a) for a in alphas]
     base = config if config is not None else SynthesisConfig()
@@ -198,16 +167,11 @@ def sweep_alpha(
     tasks = build_tasks(
         core_spec, comm_spec, ParameterGrid(alphas=tuple(values)),
         base, library, skip_infeasible=False,
-        stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
     )
-    results = run_tasks(
-        tasks, jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-    )
+    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
     return {
         alpha: task_result.result
         for alpha, task_result in zip(values, results)
-        if task_result.error is None
     }
 
 
@@ -221,11 +185,6 @@ def sweep_link_widths(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
-    stage_cache_dir: Optional[str] = None,
-    stage_cache_salt: Optional[str] = None,
 ) -> Dict[int, SynthesisResult]:
     """Sweep the link data width (an architectural parameter of Sec. IV).
 
@@ -247,16 +206,11 @@ def sweep_link_widths(
     tasks = build_tasks(
         core_spec, comm_spec, ParameterGrid(link_widths_bits=tuple(widths)),
         base, library,
-        stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
     )
-    results = run_tasks(
-        tasks, jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-    )
+    results = run_tasks(tasks, jobs=jobs, progress=progress, store=store)
     return {
         width: task_result.result
         for width, task_result in zip(widths, results)
-        if task_result.error is None
     }
 
 
@@ -270,18 +224,11 @@ def find_lowest_feasible_frequency(
     jobs: Optional[int] = 1,
     progress: Optional[ProgressFn] = None,
     store=None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
-    stage_cache_dir: Optional[str] = None,
-    stage_cache_salt: Optional[str] = None,
 ) -> float:
     """The smallest swept frequency with at least one valid design point."""
     sweep = sweep_frequencies(
         core_spec, comm_spec, sorted(frequencies_mhz), library, config,
         jobs=jobs, progress=progress, store=store,
-        retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
-        stage_cache_dir=stage_cache_dir, stage_cache_salt=stage_cache_salt,
     )
     for freq in sweep.frequencies:
         if sweep.per_frequency[freq].points:

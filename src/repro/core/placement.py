@@ -27,8 +27,6 @@ def optimise_switch_positions(
     core_centers: Mapping[int, Tuple[float, float]],
     die_width_mm: float,
     die_height_mm: float,
-    *,
-    backend: str = "scipy",
 ) -> float:
     """Set every switch's (x, y) to the LP optimum. Returns the objective.
 
@@ -94,7 +92,7 @@ def optimise_switch_positions(
         lp.add_objective_term(dx, weight)
         lp.add_objective_term(dy, weight)
 
-    solution = lp.solve(backend=backend)
+    solution = lp.solve()
 
     connected = {i for (i, _k) in sw2core} | {
         i for pair in sw2sw for i in pair

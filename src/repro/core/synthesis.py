@@ -160,9 +160,6 @@ def synthesize(
     progress: Optional[ProgressFn] = None,
     pipeline: Optional[Pipeline] = None,
     timings: Optional[StageTimings] = None,
-    retry=None,
-    task_timeout_s: Optional[float] = None,
-    on_error: str = "raise",
     stage_cache=None,
 ) -> SynthesisResult:
     """Convenience wrapper: build the context and run the staged pipeline."""
@@ -172,8 +169,5 @@ def synthesize(
         jobs=jobs,
         progress=progress,
         timings=timings,
-        retry=retry,
-        task_timeout_s=task_timeout_s,
-        on_error=on_error,
         stage_cache=stage_cache,
     )

@@ -5,8 +5,8 @@ PG weight α, link width, switch-count range) and re-runs the full
 synthesis flow at every point. Those points are independent, so this
 package fans them across a process pool:
 
-* :mod:`repro.engine.tasks` — pickling-safe task descriptors and the
-  worker entry point;
+* :mod:`repro.engine.tasks` — pickling-safe task descriptors, the
+  simulation-campaign task builder and the worker entry point;
 * :mod:`repro.engine.executor` — the pool executor: fork-aware, with
   deterministic result merging, progress callbacks and a graceful serial
   fallback;
@@ -80,12 +80,12 @@ from repro.engine.stagecache import (
 from repro.engine.store import ResultStore, fingerprint_task, open_store
 from repro.engine.supervise import RetryPolicy
 from repro.engine.tasks import (
-    BatchSimulationTask,
     CandidateTask,
     SimulationTask,
     SynthesisTask,
     TaskResult,
     run_task,
+    simulation_tasks,
 )
 from repro.errors import (
     SupervisionError,
@@ -94,7 +94,6 @@ from repro.errors import (
 )
 
 __all__ = [
-    "BatchSimulationTask",
     "CandidateTask",
     "FaultPlan",
     "FaultSpec",
@@ -127,4 +126,5 @@ __all__ = [
     "resolve_jobs",
     "run_task",
     "run_tasks",
+    "simulation_tasks",
 ]

@@ -869,7 +869,7 @@ def _bench_simulator(
     K-replication engine against per-process solo runs, per core.
     """
     from repro.core.synthesis import synthesize
-    from repro.engine.tasks import SimulationTask
+    from repro.engine.tasks import simulation_tasks
     from repro.noc.reference import ReferenceWormholeSimulator
     from repro.noc.simulator import WormholeSimulator
 
@@ -924,15 +924,11 @@ def _bench_simulator(
     gate = measure(_SIM_GATE_SCALE, "gate")
     saturation = measure(_SIM_SATURATION_SCALE, "saturation")
 
-    # Parallel traffic-campaign leg: (seed × scale) sweep, serial vs pool.
-    tasks = [
-        SimulationTask(
-            key=(seed, scale), topology=topo, seed=seed,
-            cycles=cycles, warmup=warmup, injection_scale=scale,
-        )
-        for seed in _SIM_CAMPAIGN_SEEDS
-        for scale in _SIM_CAMPAIGN_SCALES
-    ]
+    # Parallel traffic-campaign leg: (scale × seed) sweep, serial vs pool.
+    tasks = simulation_tasks(
+        topo, ("bernoulli",), _SIM_CAMPAIGN_SCALES, _SIM_CAMPAIGN_SEEDS,
+        None, cycles, warmup, packet_length_flits=4,
+    )
     run_tasks(tasks[:1], jobs=1)  # warm the serial path
     run_tasks(tasks, jobs=workers)  # warm the pool code path
     serial = parallel = None

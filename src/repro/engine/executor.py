@@ -46,9 +46,11 @@ workers. Negative values raise :class:`~repro.errors.EngineError`.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.engine.faults import unwrap_task
 from repro.engine.supervise import (
     RetryPolicy,
     Supervision,
@@ -265,14 +267,15 @@ def _run_with_store(
     complete; the merged result list is in submission order either way, and
     bit-identical to a run without a store.
 
-    A task exposing ``expand_for_store()`` / ``narrow(indices)`` (e.g.
-    :class:`~repro.engine.tasks.BatchSimulationTask`) is addressed as the
-    *set* of its sub-tasks: each sub-task is fingerprinted individually,
-    an all-hit batch is assembled from the per-sub payloads without paying
-    a worker, a partial hit is narrowed to just its missing sub-tasks, and
-    computed sub-payloads are checkpointed under the *sub-task*
-    fingerprints — so warm caches and resume behave identically whether
-    the campaign ran batched or solo.
+    A task exposing ``expand_for_store()`` / ``narrow(indices)`` (a
+    :class:`~repro.engine.tasks.SimulationTask`, possibly fault-wrapped) is
+    addressed as the *set* of its sub-tasks. Its payload is a tuple with
+    one item per sub-task, and each sub-task's entry holds the one-item
+    tuple a lone run of that sub-task returns. An all-hit task is assembled
+    from those entries without paying a worker, a partial hit is narrowed
+    to just its missing sub-tasks, and computed items are checkpointed
+    under the sub-task fingerprints — so warm caches and resume behave
+    identically whatever the chunking.
     """
     total = len(tasks)
     slots: List[Optional[TaskResult]] = [None] * total
@@ -282,9 +285,9 @@ def _run_with_store(
     # the missing sub-indices, merged with the narrowed computation below.
     partials: dict = {}
     for i, task in enumerate(tasks):
-        expand = getattr(task, "expand_for_store", None)
-        if expand is not None:
-            sub_fps = [store.fingerprint(sub) for sub in expand()]
+        subs = _store_subtasks(task)
+        if subs is not None:
+            sub_fps = [store.fingerprint(sub) for sub in subs]
             payloads: List[Optional[object]] = []
             missing: List[int] = []
             for j, sub_fp in enumerate(sub_fps):
@@ -293,9 +296,9 @@ def _run_with_store(
                     payloads.append(None)
                     missing.append(j)
                 else:
-                    payloads.append(entry.payload)
+                    payloads.append(entry.payload[0])
             if missing:
-                misses.append((i, task.narrow(tuple(missing))))
+                misses.append((i, _narrow(task, tuple(missing))))
                 fingerprints[i] = [sub_fps[j] for j in missing]
                 partials[i] = (payloads, missing)
             else:
@@ -366,14 +369,13 @@ def _run_store_misses(
     its key as ``(miss_index, key)``; the wrapper is stripped from results
     and progress callbacks before anything reaches the caller.
     """
-    import dataclasses
-
     indexed = [
         dataclasses.replace(task, key=(idx, task.key))
         for idx, (_i, task) in enumerate(misses)
     ]
     fp_by_idx = [fingerprints[i] for i, _task in misses]
-    type_by_idx = [_store_task_type(task) for _i, task in misses]
+    # Filed under the type of the task behind a possible fault wrapper.
+    type_by_idx = [type(unwrap_task(task)).__name__ for _i, task in misses]
 
     def checkpoint(result: TaskResult) -> None:
         if result.error is not None or result.skipped:
@@ -382,11 +384,11 @@ def _run_store_misses(
         fp = fp_by_idx[idx]
         if isinstance(fp, list):
             # Expandable task: per-sub payloads under per-sub fingerprints,
-            # each entry indistinguishable from a solo run's checkpoint.
+            # each entry indistinguishable from a lone sub-task's checkpoint.
             elapsed = result.elapsed_s / max(1, len(fp))
             for sub_fp, payload in zip(fp, result.result):
                 store.put(
-                    sub_fp, payload,
+                    sub_fp, (payload,),
                     task_type=type_by_idx[idx], elapsed_s=elapsed,
                 )
             return
@@ -412,15 +414,17 @@ def _run_store_misses(
     return results
 
 
-def _store_task_type(task) -> str:
-    """The ``task_type`` a result is filed under. An expandable task's
-    payloads are stored per sub-task, so they carry the *sub-task's* type —
-    the store must not tell batched and solo entries apart."""
-    expand = getattr(task, "expand_for_store", None)
-    if expand is not None:
-        subs = expand()
-        if subs:
-            return type(subs[0]).__name__
-    from repro.engine.faults import unwrap_task
+def _store_subtasks(task):
+    """The sub-tasks ``task`` is store-addressed as, or ``None`` for a
+    task addressed as itself. A fault wrapper is addressed like the task
+    it wraps."""
+    expand = getattr(unwrap_task(task), "expand_for_store", None)
+    return expand() if expand is not None else None
 
-    return type(unwrap_task(task)).__name__
+
+def _narrow(task, indices: Tuple[int, ...]):
+    """``task`` narrowed to the sub-tasks at ``indices``, wrapper kept."""
+    inner = unwrap_task(task)
+    if inner is task:
+        return task.narrow(indices)
+    return dataclasses.replace(task, inner=inner.narrow(indices))

@@ -15,16 +15,14 @@ Two task granularities cross the ``ProcessPoolExecutor`` boundary:
   a multi-start floorplan anneal (``anneal_floorplan(restarts=K, jobs=N)``
   and the constrained inserter's equivalent). Restarts are independently
   seeded, so the parent merges them deterministically by best cost.
-* :class:`SimulationTask` — one wormhole-simulation run of a
-  (seed × injection scale × traffic scenario) load-sweep campaign over an
-  already-synthesized topology
-  (``run_simulation_validation(..., jobs=N)``). Runs are deterministic in
-  their parameters, so the merged campaign is bit-identical serial vs
-  parallel.
-* :class:`BatchSimulationTask` — K such replications of one traffic point
-  batched onto the vectorised lockstep engine
-  (:mod:`repro.noc.batchengine`); per-replication results and store
-  fingerprints are identical to K solo :class:`SimulationTask`\\ s.
+* :class:`SimulationTask` — the wormhole-simulation runs of one
+  (scenario, injection scale) point of a load-sweep campaign over an
+  already-synthesized topology, for a tuple of seeds. One seed runs the
+  solo engine; more run in lockstep on the batch engine
+  (:mod:`repro.noc.batchengine`). :func:`simulation_tasks` builds the task
+  list of a whole campaign. Runs are deterministic in their parameters,
+  so the merged campaign is bit-identical serial vs parallel and for any
+  seed chunking.
 
 Tasks are plain frozen dataclasses built only from spec/config/library
 value objects (and, for candidates, stateless stage instances), so they
@@ -41,7 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.config import SynthesisConfig
 from repro.models.library import NocLibrary
@@ -166,45 +164,22 @@ class ConstrainedInsertTask:
 
 @dataclass(frozen=True)
 class SimulationTask:
-    """One wormhole-simulation run of a traffic-sweep campaign.
+    """The wormhole-simulation runs of one traffic point, one per seed.
 
     Carries the routed :class:`~repro.noc.topology.Topology` by value (plain
     dataclasses — pickles untouched) plus the simulation knobs; the worker
-    rebuilds the simulator and runs the array-based engine. ``scenario`` is
-    a :mod:`repro.noc.scenarios` spec (name, ``"name:arg"`` string or frozen
+    rebuilds the simulator and returns a tuple of
+    :class:`~repro.noc.simulator.SimulationStats`, one per seed in seed
+    order. One seed runs :meth:`~repro.noc.simulator.WormholeSimulator.run`;
+    more run :meth:`~repro.noc.simulator.WormholeSimulator.run_batch`, whose
+    per-seed stats are bit-identical to solo runs. ``scenario`` is a
+    :mod:`repro.noc.scenarios` spec (name, ``"name:arg"`` string or frozen
     scenario dataclass — all picklable).
-    """
 
-    key: Hashable
-    topology: object
-    library: Optional[NocLibrary] = None
-    buffer_depth: int = 4
-    packet_length_flits: int = 4
-    seed: int = 0
-    cycles: int = 20_000
-    warmup: int = 2_000
-    injection_scale: float = 1.0
-    scenario: Optional[object] = None
-    drain_limit: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class BatchSimulationTask:
-    """K lockstep replications of one traffic point, one worker round-trip.
-
-    The same knobs as :class:`SimulationTask` with ``seeds`` (a tuple of K
-    replication seeds) in place of ``seed``; the worker runs all K on the
-    vectorised batch engine (:mod:`repro.noc.batchengine`) and returns a
-    tuple of K :class:`~repro.noc.simulator.SimulationStats` in seed order,
-    each bit-identical to a solo :class:`SimulationTask` at that seed.
-
-    A batch has no store identity of its own: :meth:`expand_for_store`
-    names its per-replication solo tasks and the executor fingerprints
-    those individually, so a warm store serves a batched campaign from a
-    solo-run cache (and vice versa), and a partially-cached batch is
-    :meth:`narrow`\\ ed to just its missing replications. The chunking —
-    which seeds share a batch, and the batch width itself — therefore never
-    splits the cache.
+    The store addresses a task as the set of its one-seed tasks
+    (:meth:`expand_for_store`): each seed's stats are an entry of their own,
+    a partially cached task is :meth:`narrow`\\ ed to its missing seeds,
+    and the chunking of seeds into tasks never splits the cache.
     """
 
     key: Hashable
@@ -219,30 +194,73 @@ class BatchSimulationTask:
     scenario: Optional[object] = None
     drain_limit: Optional[int] = None
 
-    def expand_for_store(self) -> Tuple[SimulationTask, ...]:
-        """The batch's store identity: one solo task per replication."""
+    def expand_for_store(self) -> Tuple["SimulationTask", ...]:
+        """The task's store identity: one one-seed task per seed."""
         return tuple(
-            SimulationTask(
-                key=(self.key, seed),
-                topology=self.topology,
-                library=self.library,
-                buffer_depth=self.buffer_depth,
-                packet_length_flits=self.packet_length_flits,
-                seed=seed,
-                cycles=self.cycles,
-                warmup=self.warmup,
-                injection_scale=self.injection_scale,
-                scenario=self.scenario,
-                drain_limit=self.drain_limit,
-            )
+            dataclasses.replace(self, key=(self.key, seed), seeds=(seed,))
             for seed in self.seeds
         )
 
-    def narrow(self, indices: Tuple[int, ...]) -> "BatchSimulationTask":
-        """The sub-batch holding only the replications at ``indices``."""
+    def narrow(self, indices: Tuple[int, ...]) -> "SimulationTask":
+        """The task holding only the seeds at ``indices``."""
         return dataclasses.replace(
             self, seeds=tuple(self.seeds[i] for i in indices)
         )
+
+
+def seed_chunks(
+    seeds: Sequence[int], batch: Optional[int] = None
+) -> List[Tuple[int, ...]]:
+    """Consecutive seed groups of up to ``batch`` (``None`` = 1), in order."""
+    if batch is not None and batch < 1:
+        from repro.errors import EngineError
+
+        raise EngineError(f"batch must be >= 1, got {batch}")
+    seeds = tuple(int(s) for s in seeds)
+    size = batch or 1
+    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
+
+
+def simulation_tasks(
+    topology,
+    scenarios: Sequence,
+    scales: Sequence[float],
+    seeds: Sequence[int],
+    batch: Optional[int],
+    cycles: int,
+    warmup: int,
+    packet_length_flits: int,
+    library: Optional[NocLibrary] = None,
+    drain_limit: Optional[int] = None,
+) -> List[SimulationTask]:
+    """The task list of one traffic campaign over ``topology``.
+
+    One task per (scenario × injection scale × seed chunk), seed chunks of
+    up to ``batch`` seeds (:func:`seed_chunks`). Each task's key is
+    ``(scenario label, scale, seeds)``; flattening the tasks' per-seed
+    results in task order gives the same rows in the same order for every
+    ``batch``.
+    """
+    from repro.noc.scenarios import make_scenario
+
+    chunks = seed_chunks(seeds, batch)
+    return [
+        SimulationTask(
+            key=(scen.label(), scale, chunk),
+            topology=topology,
+            seeds=chunk,
+            library=library,
+            packet_length_flits=packet_length_flits,
+            cycles=cycles,
+            warmup=warmup,
+            injection_scale=scale,
+            scenario=scen,
+            drain_limit=drain_limit,
+        )
+        for scen in (make_scenario(s) for s in scenarios)
+        for scale in scales
+        for chunk in chunks
+    ]
 
 
 @dataclass
@@ -344,8 +362,6 @@ def _attempt_task(task) -> TaskResult:
         return _run_constrained_task(task)
     if isinstance(task, SimulationTask):
         return _run_simulation_task(task)
-    if isinstance(task, BatchSimulationTask):
-        return _run_batch_simulation_task(task)
     if task.skip:
         from repro.core.design_point import SynthesisResult
 
@@ -422,25 +438,6 @@ def _run_constrained_task(task: ConstrainedInsertTask) -> TaskResult:
 
 def _run_simulation_task(task: SimulationTask) -> TaskResult:
     def body():
-        from repro.noc.simulator import WormholeSimulator
-
-        sim = WormholeSimulator(
-            task.topology, task.library,
-            buffer_depth=task.buffer_depth,
-            packet_length_flits=task.packet_length_flits,
-            seed=task.seed,
-        )
-        return sim.run(
-            cycles=task.cycles, warmup=task.warmup,
-            injection_scale=task.injection_scale,
-            scenario=task.scenario, drain_limit=task.drain_limit,
-        )
-
-    return _timed_task(task.key, body)
-
-
-def _run_batch_simulation_task(task: BatchSimulationTask) -> TaskResult:
-    def body():
         if not task.seeds:
             return ()
         from repro.noc.simulator import WormholeSimulator
@@ -451,12 +448,16 @@ def _run_batch_simulation_task(task: BatchSimulationTask) -> TaskResult:
             packet_length_flits=task.packet_length_flits,
             seed=task.seeds[0],
         )
-        return tuple(sim.run_batch(
-            list(task.seeds),
+        run_args = dict(
             cycles=task.cycles, warmup=task.warmup,
             injection_scale=task.injection_scale,
             scenario=task.scenario, drain_limit=task.drain_limit,
-        ))
+        )
+        if len(task.seeds) == 1:
+            # The lockstep engine's fixed cost makes it far slower than
+            # the solo engine for one replication.
+            return (sim.run(**run_args),)
+        return tuple(sim.run_batch(list(task.seeds), **run_args))
 
     return _timed_task(task.key, body)
 

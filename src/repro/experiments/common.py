@@ -7,6 +7,8 @@
   switch-count sweep wide enough for the benchmark's size).
 * :func:`synthesize_cached` — process-level memoisation of synthesis runs,
   since several figures reuse the same best-power design points.
+* :func:`best_point` — the best design point of one benchmark variant,
+  through the result store when one is given (simulation campaigns).
 """
 
 from __future__ import annotations
@@ -127,6 +129,39 @@ def synthesize_cached(
     return run_synthesis(ctx)
 
 
-def best_power_point(benchmark_name: str, dims: str, config: SynthesisConfig):
-    """Best-power design point of a cached synthesis run."""
-    return synthesize_cached(benchmark_name, dims, config).best_power()
+def best_point(
+    benchmark_name: str,
+    dims: str,
+    config: SynthesisConfig,
+    objective: str = "power",
+    *,
+    store=None,
+    stage_cache_dir: Optional[str] = None,
+):
+    """The best design point (under ``objective``) of one benchmark variant.
+
+    Without a store this is the process-level memoised
+    :func:`synthesize_cached`. With one, the synthesis is a store-backed
+    :class:`~repro.engine.tasks.SynthesisTask` (per-stage memoised under
+    ``stage_cache_dir`` when given), so a warm rerun skips it entirely. Both
+    paths run the same staged flow and give bit-identical design points.
+    """
+    if store is None:
+        return synthesize_cached(benchmark_name, dims, config).best(objective)
+    from repro.engine.executor import run_tasks
+    from repro.engine.tasks import SynthesisTask
+
+    bench = get_benchmark(benchmark_name)
+    if dims == "2d":
+        core_spec = bench.core_spec_2d
+        config = config.with_(phase="phase1")
+    else:
+        core_spec = bench.core_spec_3d
+    task = SynthesisTask(
+        key=("synthesis", benchmark_name, dims),
+        core_spec=core_spec,
+        comm_spec=bench.comm_spec,
+        config=config,
+        stage_cache_dir=stage_cache_dir,
+    )
+    return run_tasks([task], jobs=1, store=store)[0].result.best(objective)

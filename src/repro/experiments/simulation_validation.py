@@ -24,19 +24,15 @@ from typing import Optional, Sequence
 from repro.core.config import SynthesisConfig
 from repro.engine import run_tasks
 from repro.engine.executor import ProgressFn
-from repro.engine.tasks import (
-    BatchSimulationTask,
-    SimulationTask,
-    SynthesisTask,
-)
+from repro.engine.tasks import seed_chunks, simulation_tasks
 from repro.experiments.common import (
     ExperimentResult,
+    best_point,
     default_config_for,
-    synthesize_cached,
 )
 from repro.models.library import NocLibrary, default_library
 from repro.noc.metrics import flow_latency_cycles
-from repro.noc.scenarios import ScenarioSpec, make_scenario
+from repro.noc.scenarios import ScenarioSpec
 
 
 def run_simulation_validation(
@@ -87,21 +83,18 @@ def run_simulation_validation(
             ``on_error="quarantine"`` runs lost to a worker crash or
             deadline are dropped from the table and counted in its
             ``notes`` instead of aborting the campaign.
-        batch: Replications per engine task. ``None``/``1`` runs one
+        batch: Seeds per engine task. ``None``/``1`` runs one
             :class:`~repro.engine.tasks.SimulationTask` per seed; ``K > 1``
-            groups each (scenario, scale)'s seeds into
-            :class:`~repro.engine.tasks.BatchSimulationTask` chunks of up
-            to ``K`` on the vectorised lockstep engine. Rows, row order and
-            store fingerprints are bit-identical either way — batching only
+            groups each (scenario, scale)'s seeds into tasks of up to ``K``
+            seeds, run on the vectorised lockstep engine (a trailing
+            one-seed task runs the solo engine). Rows, row order and store
+            fingerprints are bit-identical either way — batching only
             changes how the work is packed.
     """
-    if batch is not None and batch < 1:
-        from repro.errors import EngineError
-
-        raise EngineError(f"batch must be >= 1, got {batch}")
+    seed_chunks(seeds, batch)  # reject a bad ``batch`` before synthesizing
     if config is None:
         config = default_config_for(benchmark)
-    point = _best_power_point(benchmark, config, store)
+    point = best_point(benchmark, "3d", config, store=store)
     if library is None:
         library = default_library()
 
@@ -111,45 +104,10 @@ def run_simulation_validation(
     }
     analytic_avg = sum(zero_load.values()) / len(zero_load)
 
-    scenario_objs = [make_scenario(s) for s in scenarios]
-    if batch is not None and batch > 1:
-        # Seed chunks stay in seed order within each (scenario, scale), so
-        # the flattened rows land in exactly the solo campaign's order.
-        tasks = [
-            BatchSimulationTask(
-                key=(scen.label(), scale, chunk),
-                topology=point.topology,
-                seeds=chunk,
-                library=library,
-                packet_length_flits=packet_length_flits,
-                cycles=cycles,
-                warmup=warmup,
-                injection_scale=scale,
-                scenario=scen,
-                drain_limit=drain_limit,
-            )
-            for scen in scenario_objs
-            for scale in injection_scales
-            for chunk in _seed_chunks(seeds, batch)
-        ]
-    else:
-        tasks = [
-            SimulationTask(
-                key=(scen.label(), scale, seed),
-                topology=point.topology,
-                library=library,
-                packet_length_flits=packet_length_flits,
-                seed=seed,
-                cycles=cycles,
-                warmup=warmup,
-                injection_scale=scale,
-                scenario=scen,
-                drain_limit=drain_limit,
-            )
-            for scen in scenario_objs
-            for scale in injection_scales
-            for seed in seeds
-        ]
+    tasks = simulation_tasks(
+        point.topology, scenarios, injection_scales, seeds, batch, cycles,
+        warmup, packet_length_flits, library=library, drain_limit=drain_limit,
+    )
     results = run_tasks(
         tasks, jobs=jobs, progress=progress, store=store,
         retry=retry, task_timeout_s=task_timeout_s, on_error=on_error,
@@ -175,19 +133,14 @@ def run_simulation_validation(
             f"; {len(quarantined)} of {len(results)} run(s) quarantined "
             f"({lost}) — rows omitted"
         )
-    for task_result in results:
+    for task, task_result in zip(tasks, results):
         if task_result.error is not None:
             continue
-        label, scale, seed = task_result.key
-        if isinstance(seed, tuple):  # a batch task: one row per replication
-            rows = zip(seed, task_result.result)
-        else:
-            rows = [(seed, task_result.result)]
-        for row_seed, stats in rows:
+        for seed, stats in zip(task.seeds, task_result.result):
             table.add(
-                scenario=label,
-                seed=row_seed,
-                injection_scale=scale,
+                scenario=task.scenario.label(),
+                seed=seed,
+                injection_scale=task.injection_scale,
                 delivered=stats.packets_delivered,
                 injected=stats.packets_injected,
                 delivery_ratio=stats.delivery_ratio,
@@ -196,32 +149,3 @@ def run_simulation_validation(
                 gap_cyc=stats.avg_packet_latency - analytic_avg,
             )
     return table
-
-
-def _seed_chunks(seeds: Sequence[int], batch: int):
-    """Consecutive seed groups of up to ``batch``, in campaign order."""
-    seeds = tuple(int(s) for s in seeds)
-    return [seeds[i:i + batch] for i in range(0, len(seeds), batch)]
-
-
-def _best_power_point(benchmark: str, config: SynthesisConfig, store):
-    """The campaign's synthesized topology, optionally via the store.
-
-    Without a store this is the process-level memoised synthesis every
-    experiment shares. With one, the synthesis itself becomes a store-backed
-    engine task, so a warm campaign rerun skips it entirely — the two paths
-    produce bit-identical design points (``synthesize`` is the same staged
-    flow ``synthesize_cached`` runs).
-    """
-    if store is None:
-        return synthesize_cached(benchmark, "3d", config).best_power()
-    from repro.bench.registry import get_benchmark
-
-    bench = get_benchmark(benchmark)
-    task = SynthesisTask(
-        key=("synthesis", benchmark),
-        core_spec=bench.core_spec_3d,
-        comm_spec=bench.comm_spec,
-        config=config,
-    )
-    return run_tasks([task], jobs=1, store=store)[0].result.best_power()

@@ -7,10 +7,9 @@ package replaces it with:
 * :mod:`repro.lp.model` — a small modelling layer (named variables with
   bounds, <=/>=/== constraints, linear objective);
 * :mod:`repro.lp.scipy_backend` — lowering to ``scipy.optimize.linprog``
-  (HiGHS), the default solver;
+  (HiGHS), the solver :meth:`LinearProgram.solve` uses;
 * :mod:`repro.lp.simplex` — a self-contained dense two-phase simplex with
-  Bland's rule, used as a dependency-free fallback and as a cross-check in
-  the test suite.
+  Bland's rule, the test suite's independent oracle for HiGHS.
 """
 
 from repro.lp.model import LinearProgram, Solution

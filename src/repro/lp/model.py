@@ -148,17 +148,12 @@ class LinearProgram:
 
     # -- solving -----------------------------------------------------------
 
-    def solve(self, backend: str = "scipy") -> Solution:
-        """Solve the LP. ``backend`` is 'scipy' (HiGHS) or 'simplex'."""
-        if backend == "scipy":
-            from repro.lp.scipy_backend import solve_with_scipy
+    def solve(self) -> Solution:
+        """Solve the LP with scipy's HiGHS (the dense simplex of
+        :mod:`repro.lp.simplex` is the test suite's oracle for it)."""
+        from repro.lp.scipy_backend import solve_with_scipy
 
-            return solve_with_scipy(self)
-        if backend == "simplex":
-            from repro.lp.scipy_backend import solve_with_simplex
-
-            return solve_with_simplex(self)
-        raise LPError(f"unknown LP backend {backend!r}")
+        return solve_with_scipy(self)
 
     def _check_var(self, var: Variable) -> None:
         if not isinstance(var, Variable):

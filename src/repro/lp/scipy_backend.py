@@ -1,9 +1,9 @@
 """Backends lowering :class:`~repro.lp.model.LinearProgram` to solvers.
 
 ``solve_with_scipy`` uses ``scipy.optimize.linprog`` (HiGHS). It handles box
-bounds natively.
+bounds natively, and :meth:`~repro.lp.model.LinearProgram.solve` uses it.
 
-``solve_with_simplex`` lowers to the built-in two-phase simplex of
+``solve_with_simplex`` (the test suite's oracle) lowers to the built-in two-phase simplex of
 :mod:`repro.lp.simplex`, which expects non-negative variables: bounded-below
 variables are shifted (``x = lo + x'``), free variables are split
 (``x = x+ - x-``), and finite upper bounds become extra rows.

@@ -1,9 +1,9 @@
 """Self-contained dense two-phase simplex solver.
 
 Solves ``min c^T x  s.t.  A_i x (<=|>=|==) b_i,  x >= 0`` using the classic
-tableau method with Bland's anti-cycling rule. Used as a dependency-free
-fallback backend for :class:`repro.lp.model.LinearProgram` and as an
-independent cross-check of the scipy/HiGHS results in the test suite.
+tableau method with Bland's anti-cycling rule. The test suite uses it as an
+independent cross-check of the scipy/HiGHS results that
+:meth:`repro.lp.model.LinearProgram.solve` returns.
 
 The solver expects non-negative variables; the backend layer
 (:mod:`repro.lp.scipy_backend`) performs the bound substitutions needed to

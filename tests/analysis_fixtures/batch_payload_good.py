@@ -1,7 +1,7 @@
 """Fixture: a pickling-clean *batched* task payload. Never imported.
 
-Mirrors the shape of :class:`repro.engine.tasks.BatchSimulationTask`: a
-frozen dataclass whose replication axis is a plain tuple of seeds, whose
+Mirrors the shape of :class:`repro.engine.tasks.SimulationTask`: a frozen
+dataclass whose replication axis is a plain tuple of seeds, whose
 expansion helpers are ordinary methods, and whose fields are all plain
 data — nothing a process-pool pickle refuses.
 """

@@ -66,10 +66,34 @@ class TestSynthCache:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "SynthesisTask: 2" in out
+        assert "SynthRunRecord: 2" in out
         # Stage memoization files its records per stage in the same store.
         assert "stage records (per-stage memoization):" in out
         assert "skeleton" in out
+
+
+class TestSynthThenSim:
+    def test_sim_served_from_a_store_synth_wrote(self, tmp_path, capsys):
+        """``synth --cache`` files its whole-run record under an address of
+        its own, so ``sim`` on the same store is served the bare synthesis
+        result under the same point's SynthesisTask address."""
+        cache_dir = str(tmp_path / "store")
+        assert main([
+            "synth", "--benchmark", "d26_media", "--switches", "3:5",
+            "--cache-dir", cache_dir,
+        ]) == 0
+        sim_args = [
+            "sim", "--benchmark", "d26_media", "--switches", "3:5",
+            "--cycles", "300", "--warmup", "30", "--scales", "0.3",
+            "--quiet", "--cache-dir", cache_dir,
+        ]
+        assert main(sim_args) == 0
+        assert "bernoulli" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        stats = capsys.readouterr().out
+        for line in ("SynthRunRecord: 1", "SynthesisTask: 1",
+                     "SimulationTask: 1"):
+            assert line in stats
 
 
 class TestSweepCache:

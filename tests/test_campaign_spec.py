@@ -172,6 +172,19 @@ def test_compile_sim_builds_simulation_tasks(tmp_path):
     assert [t.key for t in again] == [t.key for t in tasks]
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("batch", [None, 1, 2, 3, 4])
+def test_task_count_matches_compiled_sim_tasks(batch):
+    data = {**SIM, "seeds": [0, 1, 2]}
+    if batch is not None:
+        data["batch"] = batch
+    spec = CampaignSpec.from_dict(data)
+    tasks = compile_campaign(spec)
+    assert spec.task_count == len(tasks)
+    # Every seed lands in exactly one task of each (scenario, scale).
+    assert sum(len(t.seeds) for t in tasks) == 2 * 3
+
+
 def test_load_campaign_file_json(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(SWEEP))

@@ -1,13 +1,19 @@
-"""LP modelling layer and both backends (repro.lp)."""
+"""LP modelling layer, its HiGHS solve, and the simplex oracle (repro.lp)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InfeasibleLPError, LPError, UnboundedLPError
 from repro.lp.model import LinearProgram
+from repro.lp.scipy_backend import solve_with_simplex
 from repro.lp.simplex import solve_simplex
 
 BACKENDS = ("scipy", "simplex")
+
+
+def _solve(lp, backend):
+    """``LinearProgram.solve`` (HiGHS), or the simplex oracle directly."""
+    return lp.solve() if backend == "scipy" else solve_with_simplex(lp)
 
 
 class TestModel:
@@ -36,12 +42,6 @@ class TestModel:
         assert lp.num_variables == 1
         assert lp.num_constraints == 1
 
-    def test_unknown_backend(self):
-        lp = LinearProgram()
-        lp.add_variable("x")
-        with pytest.raises(LPError):
-            lp.solve(backend="cplex")
-
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestSolve:
@@ -52,7 +52,7 @@ class TestSolve:
         y = lp.add_variable("y")
         lp.add_constraint({x: 1.0, y: 1.0}, ">=", 2.0)
         lp.set_objective({x: 1.0, y: 1.0})
-        sol = lp.solve(backend=backend)
+        sol = _solve(lp, backend)
         assert sol.objective == pytest.approx(2.0)
 
     def test_equality_constraint(self, backend):
@@ -61,7 +61,7 @@ class TestSolve:
         y = lp.add_variable("y")
         lp.add_constraint({x: 1.0, y: 2.0}, "==", 4.0)
         lp.set_objective({x: 3.0, y: 1.0})
-        sol = lp.solve(backend=backend)
+        sol = _solve(lp, backend)
         # Cheapest: all weight on y: y = 2, objective 2.
         assert sol.objective == pytest.approx(2.0)
         assert sol.value(y) == pytest.approx(2.0)
@@ -71,7 +71,7 @@ class TestSolve:
         lp = LinearProgram()
         x = lp.add_variable("x", low=0.0, high=7.0)
         lp.set_objective({x: -1.0})
-        sol = lp.solve(backend=backend)
+        sol = _solve(lp, backend)
         assert sol.value(x) == pytest.approx(7.0)
 
     def test_free_variable(self, backend):
@@ -82,7 +82,7 @@ class TestSolve:
         lp.add_constraint({d: 1.0, x: -1.0}, ">=", 3.0)
         lp.add_constraint({d: 1.0, x: 1.0}, ">=", -3.0)
         lp.set_objective({d: 1.0})
-        sol = lp.solve(backend=backend)
+        sol = _solve(lp, backend)
         assert sol.objective == pytest.approx(0.0, abs=1e-6)
         assert sol.value(x) == pytest.approx(-3.0, abs=1e-6)
 
@@ -90,7 +90,7 @@ class TestSolve:
         lp = LinearProgram()
         x = lp.add_variable("x", low=5.0)
         lp.set_objective({x: 1.0})
-        sol = lp.solve(backend=backend)
+        sol = _solve(lp, backend)
         assert sol.value(x) == pytest.approx(5.0)
 
     def test_infeasible_detected(self, backend):
@@ -99,14 +99,14 @@ class TestSolve:
         lp.add_constraint({x: 1.0}, ">=", 5.0)
         lp.set_objective({x: 1.0})
         with pytest.raises(InfeasibleLPError):
-            lp.solve(backend=backend)
+            _solve(lp, backend)
 
     def test_unbounded_detected(self, backend):
         lp = LinearProgram()
         x = lp.add_variable("x")
         lp.set_objective({x: -1.0})
         with pytest.raises(UnboundedLPError):
-            lp.solve(backend=backend)
+            _solve(lp, backend)
 
     def test_manhattan_median(self, backend):
         # min sum |x - a_i| over a = (0, 4, 10): optimum at the median (4).
@@ -119,7 +119,7 @@ class TestSolve:
             lp.add_constraint({d: 1.0, x: 1.0}, ">=", a)
             total[d] = 1.0
         lp.set_objective(total)
-        sol = lp.solve(backend=backend)
+        sol = _solve(lp, backend)
         assert sol.value(x) == pytest.approx(4.0, abs=1e-6)
         assert sol.objective == pytest.approx(10.0, abs=1e-6)
 
@@ -172,6 +172,6 @@ class TestBackendsAgree:
         obj = [data.draw(st.integers(min_value=0, max_value=3)) for _ in range(n)]
         lp_a.set_objective({v: c for v, c in zip(vars_a, obj)})
         lp_b.set_objective({v: c for v, c in zip(vars_b, obj)})
-        sol_a = lp_a.solve(backend="scipy")
-        sol_b = lp_b.solve(backend="simplex")
+        sol_a = lp_a.solve()
+        sol_b = solve_with_simplex(lp_b)
         assert sol_a.objective == pytest.approx(sol_b.objective, abs=1e-6)

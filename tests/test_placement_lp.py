@@ -93,10 +93,14 @@ class TestSwitchPlacement:
         with pytest.raises(LPError):
             optimise_switch_positions(topo, {0: (0, 0), 1: (1, 0)}, 0.0, 5.0)
 
-    def test_simplex_backend_agrees_with_scipy(self):
+    def test_simplex_backend_agrees_with_scipy(self, monkeypatch):
+        from repro.lp.model import LinearProgram
+        from repro.lp.scipy_backend import solve_with_simplex
+
         topo_a = _one_switch_two_cores()
         topo_b = _one_switch_two_cores()
         centers = {0: (0.0, 0.0), 1: (4.0, 2.0)}
-        obj_a = optimise_switch_positions(topo_a, centers, 10.0, 10.0, backend="scipy")
-        obj_b = optimise_switch_positions(topo_b, centers, 10.0, 10.0, backend="simplex")
+        obj_a = optimise_switch_positions(topo_a, centers, 10.0, 10.0)
+        monkeypatch.setattr(LinearProgram, "solve", solve_with_simplex)
+        obj_b = optimise_switch_positions(topo_b, centers, 10.0, 10.0)
         assert obj_a == pytest.approx(obj_b, rel=1e-6)

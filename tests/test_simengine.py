@@ -168,7 +168,7 @@ class TestSimulationTask:
     def _tasks(self, topo):
         return [
             SimulationTask(
-                key=(seed, scale), topology=topo, seed=seed,
+                key=(seed, scale), topology=topo, seeds=(seed,),
                 cycles=1200, warmup=200, injection_scale=scale,
                 scenario=scenario,
             )
@@ -185,7 +185,7 @@ class TestSimulationTask:
         direct = WormholeSimulator(contended_topo, seed=0).run(
             cycles=1200, warmup=200, injection_scale=0.4
         )
-        assert result.result == direct
+        assert result.result == (direct,)
 
     def test_serial_parallel_bit_identical(self, contended_topo):
         tasks = self._tasks(contended_topo)

@@ -18,7 +18,7 @@ from repro.core.config import SynthesisConfig
 from repro.core.frequency_sweep import sweep_frequencies
 from repro.engine import ResultStore, fingerprint_task, run_tasks
 from repro.engine.store import open_store
-from repro.engine.tasks import BatchSimulationTask, SimulationTask, SynthesisTask
+from repro.engine.tasks import SimulationTask, SynthesisTask
 from repro.errors import StoreError
 
 from _simtopo import contended_topology
@@ -32,7 +32,7 @@ def _sim_tasks(n=4, cycles=300, **overrides):
     topo = contended_topology()
     return [
         SimulationTask(
-            key=("sim", seed), topology=topo, seed=seed, cycles=cycles,
+            key=("sim", seed), topology=topo, seeds=(seed,), cycles=cycles,
             warmup=0, **overrides,
         )
         for seed in range(n)
@@ -41,6 +41,11 @@ def _sim_tasks(n=4, cycles=300, **overrides):
 
 def _payload_bytes(results):
     return [pickle.dumps(r.result) for r in results]
+
+
+def _stats_bytes(results):
+    """Per-seed stats blobs of simulation results, in campaign order."""
+    return [pickle.dumps(stats) for r in results for stats in r.result]
 
 
 class TestFingerprint:
@@ -418,7 +423,7 @@ class TestExecutorIntegration:
 
 
 def _batch_sim_task(seeds, key="batch", cycles=300):
-    return BatchSimulationTask(
+    return SimulationTask(
         key=key, topology=contended_topology(), seeds=tuple(seeds),
         cycles=cycles, warmup=0,
     )
@@ -456,23 +461,20 @@ class TestBatchTaskStore:
                          store=warm_store)
         assert warm[0].cached
         assert warm_store.hits == 4 and warm_store.misses == 0
-        assert [pickle.dumps(r) for r in warm[0].result] == _payload_bytes(
-            cold
-        )
+        assert _stats_bytes(warm) == _stats_bytes(cold)
 
     def test_solo_warm_over_cold_batch_store(self, tmp_path):
         store = ResultStore(tmp_path)
         cold = run_tasks([_batch_sim_task(range(4))], jobs=1, store=store)
         assert not cold[0].cached
         assert store.stats().entries == 4
-        # The batch checkpointed under SimulationTask, not its own type.
+        # One entry per seed, each the payload of a one-seed task.
         assert store.stats().by_task_type == {"SimulationTask": 4}
         warm_store = ResultStore(tmp_path)
         warm = run_tasks(_sim_tasks(4), jobs=1, store=warm_store)
         assert all(r.cached for r in warm)
-        assert _payload_bytes(warm) == [
-            pickle.dumps(r) for r in cold[0].result
-        ]
+        assert all(len(r.result) == 1 for r in warm)
+        assert _stats_bytes(warm) == _stats_bytes(cold)
 
     def test_partial_warm_batch_narrows_to_the_misses(self, tmp_path):
         solo_tasks = _sim_tasks(4)
@@ -483,7 +485,7 @@ class TestBatchTaskStore:
                           store=mid_store)
         assert not mixed[0].cached  # two replications were computed...
         assert mid_store.hits == 2  # ...two replayed, merged in seed order
-        assert [pickle.dumps(r) for r in mixed[0].result] == _payload_bytes(
+        assert _stats_bytes(mixed) == _stats_bytes(
             run_tasks(solo_tasks, jobs=1)
         )
         warm_store = ResultStore(tmp_path)
@@ -514,14 +516,13 @@ class TestBatchTaskStore:
 
         resume_store = ResultStore(tmp_path)
         resumed = run_tasks(chunks, jobs=1, store=resume_store)
-        flat = [r for chunk in resumed for r in chunk.result]
-        assert [pickle.dumps(r) for r in flat] == _payload_bytes(cold_solo)
+        assert _stats_bytes(resumed) == _stats_bytes(cold_solo)
         assert resumed[0].cached and not resumed[1].cached
         assert resume_store.hits == checkpointed
         assert ResultStore(tmp_path).stats().entries == 6
 
     def test_errored_batch_is_not_cached(self, tmp_path):
-        bad = BatchSimulationTask(
+        bad = SimulationTask(
             key="bad", topology=contended_topology(), seeds=(0, 1),
             cycles=100, warmup=0, scenario="no-such-scenario",
         )
@@ -529,6 +530,116 @@ class TestBatchTaskStore:
         results = run_tasks([bad], jobs=1, store=store, raise_errors=False)
         assert results[0].error is not None
         assert store.stats().entries == 0
+
+
+@pytest.fixture
+def batch_widths(monkeypatch):
+    """Record the K of every lockstep-engine call (the calls still run)."""
+    from repro.noc import batchengine
+
+    widths = []
+    original = batchengine.simulate_batch
+
+    def recording(sim, **kwargs):
+        widths.append(len(kwargs["seeds"]))
+        return original(sim, **kwargs)
+
+    monkeypatch.setattr(batchengine, "simulate_batch", recording)
+    return widths
+
+
+class TestOneSeedRunsSolo:
+    """A one-seed task — a trailing chunk, or a batch narrowed to one
+    missing seed — runs the solo engine, never the lockstep one."""
+
+    def test_trailing_one_seed_chunk(self, batch_widths):
+        solo = run_tasks(_sim_tasks(3), jobs=1)
+        assert batch_widths == []
+        chunks = [_batch_sim_task((0, 1)), _batch_sim_task((2,))]
+        chunked = run_tasks(chunks, jobs=1)
+        assert batch_widths == [2]
+        assert _stats_bytes(chunked) == _stats_bytes(solo)
+
+    def test_partial_hit_narrowed_to_one_seed(self, tmp_path, batch_widths):
+        solo_tasks = _sim_tasks(3)
+        store = ResultStore(tmp_path)
+        run_tasks(solo_tasks[:2], jobs=1, store=store)
+        mixed = run_tasks([_batch_sim_task(range(3))], jobs=1,
+                          store=ResultStore(tmp_path))
+        assert batch_widths == []
+        assert not mixed[0].cached
+        assert _stats_bytes(mixed) == _stats_bytes(
+            run_tasks(solo_tasks, jobs=1)
+        )
+
+    def test_batched_campaign_rows_match_solo(self, batch_widths):
+        from repro.experiments.simulation_validation import (
+            run_simulation_validation,
+        )
+
+        kwargs = dict(
+            benchmark="d26_media", injection_scales=(0.3,), cycles=400,
+            warmup=40,
+            config=SynthesisConfig(max_ill=25, switch_count_range=(3, 5)),
+            seeds=(0, 1, 2),
+        )
+        solo = run_simulation_validation(jobs=1, **kwargs)
+        assert batch_widths == []
+        batched = run_simulation_validation(jobs=1, batch=2, **kwargs)
+        assert batch_widths == [2]
+        assert pickle.dumps(batched.rows) == pickle.dumps(solo.rows)
+
+
+class TestFaultWrappedStoreInterop:
+    """A fault wrapper is store-addressed like the task it wraps: the
+    wrapped and the plain runs of the same seeds share their one-seed
+    entries, batched or not."""
+
+    def _wrapped(self, task, tmp_path):
+        from repro.engine.faults import FaultSpec, FaultyTask
+
+        state_dir = tmp_path / "faults"
+        state_dir.mkdir(exist_ok=True)
+        return FaultyTask(
+            key=task.key, inner=task, spec=FaultSpec("noop", times=-1),
+            state_dir=str(state_dir), fault_id="fault-0",
+        )
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_wrapped_checkpoint_serves_plain(self, tmp_path, n):
+        store = ResultStore(tmp_path / "store")
+        wrapped = self._wrapped(_batch_sim_task(range(n)), tmp_path)
+        cold = run_tasks([wrapped], jobs=1, store=store)
+        assert store.stats().by_task_type == {"SimulationTask": n}
+        warm_store = ResultStore(tmp_path / "store")
+        warm = run_tasks(_sim_tasks(n), jobs=1, store=warm_store)
+        assert all(r.cached for r in warm) and warm_store.hits == n
+        assert _stats_bytes(warm) == _stats_bytes(cold)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_plain_checkpoint_serves_wrapped(self, tmp_path, n):
+        cold = run_tasks(_sim_tasks(n), jobs=1,
+                         store=ResultStore(tmp_path / "store"))
+        warm_store = ResultStore(tmp_path / "store")
+        wrapped = self._wrapped(_batch_sim_task(range(n)), tmp_path)
+        warm = run_tasks([wrapped], jobs=1, store=warm_store)
+        assert warm[0].cached and warm_store.hits == n
+        assert wrapped.activations() == 0  # served, never run
+        assert _stats_bytes(warm) == _stats_bytes(cold)
+
+    def test_partial_hit_narrows_inside_the_wrapper(self, tmp_path):
+        solo_tasks = _sim_tasks(3)
+        run_tasks(solo_tasks[:1], jobs=1,
+                  store=ResultStore(tmp_path / "store"))
+        mid_store = ResultStore(tmp_path / "store")
+        wrapped = self._wrapped(_batch_sim_task(range(3)), tmp_path)
+        mixed = run_tasks([wrapped], jobs=1, store=mid_store)
+        assert wrapped.activations() == 1  # the narrowed task kept its fault
+        assert not mixed[0].cached and mid_store.hits == 1
+        assert _stats_bytes(mixed) == _stats_bytes(
+            run_tasks(solo_tasks, jobs=1)
+        )
+        assert ResultStore(tmp_path / "store").stats().entries == 3
 
 
 class TestCampaignDifferential:

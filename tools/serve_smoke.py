@@ -4,16 +4,20 @@
 Drives the real CLI surface the way an operator would — no test harness,
 no in-process shortcuts:
 
-1. writes three small campaign specs (two valid, one broken) and submits
+1. writes four small campaign specs (three valid, one broken) and submits
    them with ``campaign submit`` (the broken one must be refused
-   client-side with every problem listed);
+   client-side with every problem listed). One valid spec is a ``sim``
+   campaign batching three seeds two at a time, so its trailing one-seed
+   task runs too;
 2. drops one more valid spec straight into the inbox (the file-drop
    submission path);
 3. runs ``serve --once`` to drain the spool;
 4. checks the journal and the spool agree: every submitted job is
    ``done``, each result file's sha256 matches its journaled digest, the
-   store holds exactly the campaign's task payloads, the inbox is empty
-   and ``campaign status`` exits 0.
+   sim job's tasks return one stats object per seed, the store holds
+   exactly one entry per sweep point, per simulated seed and per sim
+   prerequisite synthesis, the inbox is empty and ``campaign status``
+   exits 0.
 
 Exit 0 means the service round-trip works on this machine; any
 inconsistency prints what disagreed and exits 1.
@@ -42,6 +46,14 @@ SPECS = {
         "name": "smoke-b", "kind": "sweep", "benchmark": "d26_media",
         "grid": {"frequencies_mhz": [500, 600]},
         "config": {"switch_count_range": [3, 4]},
+    },
+    "smoke-sim.json": {
+        "name": "smoke-sim", "kind": "sim", "benchmark": "d26_media",
+        "scenarios": ["bernoulli"], "injection_scales": [0.3],
+        "seeds": [0, 1, 2], "batch": 2, "cycles": 400, "warmup": 40,
+        # A switch range no sweep spec uses: the prerequisite synthesis
+        # gets a store entry of its own.
+        "config": {"switch_count_range": [3, 5]},
     },
     "smoke-inbox.json": {
         "name": "smoke-inbox", "kind": "sweep", "benchmark": "d26_media",
@@ -92,7 +104,7 @@ def main() -> None:
         if fragment not in refused.stderr:
             fail(f"refusal did not mention {fragment!r}:\n{refused.stderr}")
 
-    for name in ("smoke-a.json", "smoke-b.json"):
+    for name in ("smoke-a.json", "smoke-b.json", "smoke-sim.json"):
         submitted = cli("campaign", "submit", str(scratch / name),
                         "--dir", str(spool))
         if submitted.returncode != 0:
@@ -122,13 +134,14 @@ def main() -> None:
     from repro.campaign import CampaignService
 
     state = CampaignService.status(spool)
-    expected_jobs = 3
+    expected_jobs = 4
     if len(state.jobs) != expected_jobs:
         fail(f"{len(state.jobs)} job(s) journaled, wanted {expected_jobs}")
     if state.incomplete:
         fail("journal still holds incomplete jobs after a drain: "
              + ", ".join(j.job_id for j in state.incomplete))
     total_tasks = 0
+    expected_entries = 0
     for job in state.jobs.values():
         if job.state != "done":
             fail(f"{job.job_id} is {job.state!r}, wanted done "
@@ -142,11 +155,20 @@ def main() -> None:
             fail(f"{job.job_id}: {len(payloads)} payload(s) in the result "
                  f"file, journal says {job.total_tasks}")
         total_tasks += job.total_tasks
+        if job.spec["kind"] != "sim":
+            expected_entries += job.total_tasks
+            continue
+        # Seeds (0, 1) ran in lockstep, seed 2 alone: one stats each.
+        widths = [len(payload) for _key, payload in payloads]
+        if widths != [2, 1]:
+            fail(f"{job.job_id}: sim tasks returned {widths} stats, "
+                 "wanted [2, 1]")
+        expected_entries += sum(widths) + 1  # per seed, plus the synthesis
 
     store_entries = len(list((spool / "store").rglob("*.pkl")))
-    if store_entries != total_tasks:
-        fail(f"store holds {store_entries} payload(s), campaigns ran "
-             f"{total_tasks} task(s)")
+    if store_entries != expected_entries:
+        fail(f"store holds {store_entries} payload(s), campaigns wrote "
+             f"{expected_entries} ({total_tasks} task(s))")
     leftovers = [p.name for p in inbox.iterdir()]
     if leftovers:
         fail(f"inbox not drained: {leftovers}")
