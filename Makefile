@@ -11,8 +11,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # addressing, and a smoke over the benchmark's batch leg).
 ENGINE_COV_FLOOR ?= 78
 
-.PHONY: help test test-fast lint check coverage chaos serve-smoke bench \
-	bench-full benchmarks
+.PHONY: help test test-fast lint lint-c check coverage chaos serve-smoke \
+	bench bench-full benchmarks
 
 help:
 	@echo "targets:"
@@ -21,9 +21,11 @@ help:
 	@echo "                    (annealer/simulator/experiment-heavy tests)"
 	@echo "  make lint       - contract linter (repro.analysis): stage input"
 	@echo "                    declarations, determinism, pickling safety,"
-	@echo "                    lock discipline, stage salts"
-	@echo "  make check      - compileall smoke + contract linter + full"
-	@echo "                    tier-1 suite"
+	@echo "                    lock discipline, stage salts; plus lint-c"
+	@echo "  make lint-c     - the C simulation kernel compiled with"
+	@echo "                    -Wall -Wextra -Werror"
+	@echo "  make check      - compileall smoke + lint-c + contract linter"
+	@echo "                    + full tier-1 suite"
 	@echo "  make coverage   - engine-focused tests under line coverage of"
 	@echo "                    src/repro/engine; fails below $(ENGINE_COV_FLOOR)%"
 	@echo "  make chaos      - fault-injection suite: every supervision"
@@ -49,12 +51,20 @@ test-fast:
 # The contract linter: every RPL### invariant (stage input declarations,
 # determinism, pickling safety, lock discipline, stage salts) over
 # src/repro. Exits non-zero on any unsuppressed finding.
-lint:
+lint: lint-c
 	$(PYTHON) -m repro.cli lint
 
-# The CI gate: a whole-tree import/compile smoke, the contract linter
-# (which subsumes the old stage-salt check), then the full suite.
-check:
+# The C simulation kernel with every warning an error. The source is found
+# the way the kernel loader finds it (next to repro/noc/ckernel.py); -O2
+# because some warnings need the optimiser's analyses.
+lint-c:
+	$(CC) -std=c99 -O2 -Wall -Wextra -Werror -c -o /dev/null \
+	    "$$($(PYTHON) -c 'from repro.noc import ckernel; print(ckernel.SOURCE)')"
+
+# The CI gate: a whole-tree import/compile smoke, the C kernel's warnings,
+# the contract linter (which subsumes the old stage-salt check), then the
+# full suite.
+check: lint-c
 	$(PYTHON) -m compileall -q src
 	$(PYTHON) -m repro.cli lint
 	$(PYTHON) -m pytest -x -q

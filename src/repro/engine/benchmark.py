@@ -25,12 +25,13 @@ Measures the claims this subsystem makes and writes them to
   of :mod:`repro.floorplan.reference` on the same design's 2-D
   floorplanning problem, single-threaded moves/sec plus the multi-start
   serial/parallel leg, with bit-identity checks;
-* **wormhole simulator hot path** — the array-based
-  :mod:`repro.noc.simengine` core versus the frozen naive baseline of
-  :mod:`repro.noc.reference` on the same design's synthesized topology,
-  single-threaded cycles/sec at validation load (with a saturation point
-  recorded too) plus the parallel traffic-campaign leg, with bit-identity
-  checks;
+* **wormhole simulator hot path** — ``WormholeSimulator.run`` versus the
+  frozen naive baseline of :mod:`repro.noc.reference` on the same design's
+  synthesized topology, single-threaded cycles/sec at validation load
+  (with a saturation point recorded too) plus the parallel
+  traffic-campaign leg, with bit-identity checks; ``simulator.kernel``
+  records which cycle loop ran (``"c"``, or ``"numpy"`` when the C kernel
+  could not be built), so a fallback run never passes for a kernel one;
 * **supervision overhead & recovery** — the same parallel sweep with the
   :mod:`repro.engine.supervise` knobs armed (retries + per-task deadline)
   versus plain, fault-free (the overhead claim), and with one injected
@@ -845,7 +846,7 @@ _SIM_SEED = 5
 #: The parallel traffic-campaign leg: seeds × injection scales.
 _SIM_CAMPAIGN_SEEDS = (0, 1)
 _SIM_CAMPAIGN_SCALES = (0.3, 0.8)
-#: Replications in the vectorised batch leg (trimmed in full mode where
+#: Replications in the batch leg (trimmed in full mode where
 #: the 3x longer horizon already amortises the schedule build).
 _SIM_BATCH_K_QUICK = 512
 _SIM_BATCH_K_FULL = 256
@@ -857,7 +858,7 @@ def _bench_simulator(
     bench, timings: StageTimings, say: Callable[[str], None],
     workers: int, quick: bool,
 ) -> Dict:
-    """Array-based engine vs naive wormhole simulator + campaign scaling.
+    """Simulator engine vs naive wormhole simulator + campaign scaling.
 
     Both simulators run the same synthesized topology with identical seeds
     and scenarios; the stats must be bit-identical, so the speedup is pure
@@ -870,9 +871,12 @@ def _bench_simulator(
     """
     from repro.core.synthesis import synthesize
     from repro.engine.tasks import simulation_tasks
+    from repro.noc.batchengine import kernel_name
     from repro.noc.reference import ReferenceWormholeSimulator
     from repro.noc.simulator import WormholeSimulator
 
+    kernel = kernel_name()
+    say(f"simulator: kernel={kernel}")
     config = SynthesisConfig(max_ill=16, switch_count_range=(4, 6))
     point = synthesize(
         bench.core_spec_3d, bench.comm_spec, config=config
@@ -954,6 +958,7 @@ def _bench_simulator(
 
     report = dict(gate)
     report.update({
+        "kernel": kernel,
         "design_links": len(topo.links),
         "design_flows": len(topo.routes),
         "saturation": saturation,
@@ -974,21 +979,20 @@ def _bench_sim_batch(
     topo, timings: StageTimings, say: Callable[[str], None],
     cycles: int, warmup: int, quick: bool,
 ) -> Dict:
-    """The vectorised K-replication batch engine: campaign reps/sec per core.
+    """``run_batch`` over K replications: campaign reps/sec per core.
 
     The gated claim is the ROADMAP's cumulative campaign-throughput target:
-    K lockstep replications on one core deliver >= 10x the replications/sec
-    of the pre-vectorisation per-process campaign loop — solo runs of the
+    K replications in one ``run_batch`` call on one core deliver >= 10x the
+    replications/sec of the per-process campaign loop of solo runs of the
     frozen :mod:`repro.noc.reference` simulator, one replication at a time
-    (the same baseline the single-thread ``speedup`` gate measures, so the
-    two floors compose: the array engine bought ~4x per run, batching takes
-    the same comparison past 10x). The further ratio over the solo *array
-    engine* is recorded ungated. Everything here is single-process on one
-    core, so the numbers are CPU-count independent by construction.
+    (the same baseline the single-thread ``speedup`` gate measures). The
+    further ratio over solo ``run`` is recorded ungated. Everything here is
+    single-process on one core, so the numbers are CPU-count independent by
+    construction.
 
     Before anything is timed, a small batch (traces on) is checked
-    bit-identical to solo :mod:`~repro.noc.simengine` runs *and* the frozen
-    reference, replication by replication.
+    bit-identical to solo ``run`` calls *and* the frozen reference,
+    replication by replication.
     """
     from repro.noc.reference import ReferenceWormholeSimulator
     from repro.noc.simulator import WormholeSimulator
@@ -1026,7 +1030,7 @@ def _bench_sim_batch(
         f"(batch vs solo vs reference, traces on): {identical}"
     )
 
-    # Batch throughput: K replications in lockstep on one core.
+    # Batch throughput: K replications in one call on one core.
     k = _SIM_BATCH_K_QUICK if quick else _SIM_BATCH_K_FULL
     batch_seeds = list(range(k))
     sim.run_batch(batch_seeds[:8], cycles=200, warmup=0,
@@ -1053,7 +1057,7 @@ def _bench_sim_batch(
         else float("inf")
     )
     say(
-        f"simulator batch: K={k} lockstep {batch_rate:,.1f} reps/s on one "
+        f"simulator batch: K={k} in one call {batch_rate:,.1f} reps/s on one "
         f"core vs {reference_rate:,.1f} reps/s per-process reference "
         f"({vs_reference:.2f}x, gated) and {solo_engine_rate:,.1f} reps/s "
         f"solo engine ({vs_solo_engine:.2f}x, recorded)"

@@ -17,10 +17,10 @@ Two task granularities cross the ``ProcessPoolExecutor`` boundary:
   seeded, so the parent merges them deterministically by best cost.
 * :class:`SimulationTask` — the wormhole-simulation runs of one
   (scenario, injection scale) point of a load-sweep campaign over an
-  already-synthesized topology, for a tuple of seeds. One seed runs the
-  solo engine; more run in lockstep on the batch engine
-  (:mod:`repro.noc.batchengine`). :func:`simulation_tasks` builds the task
-  list of a whole campaign. Runs are deterministic in their parameters,
+  already-synthesized topology, for a tuple of seeds. One seed is a
+  ``WormholeSimulator.run``; more are one ``run_batch`` call (both on the
+  driver of :mod:`repro.noc.batchengine`). :func:`simulation_tasks` builds
+  the task list of a whole campaign. Runs are deterministic in their parameters,
   so the merged campaign is bit-identical serial vs parallel and for any
   seed chunking.
 
@@ -454,8 +454,8 @@ def _run_simulation_task(task: SimulationTask) -> TaskResult:
             scenario=task.scenario, drain_limit=task.drain_limit,
         )
         if len(task.seeds) == 1:
-            # The lockstep engine's fixed cost makes it far slower than
-            # the solo engine for one replication.
+            # A solo run: same driver and cost as a one-seed batch, but
+            # outside the batch entry point and whatever wraps it.
             return (sim.run(**run_args),)
         return tuple(sim.run_batch(list(task.seeds), **run_args))
 

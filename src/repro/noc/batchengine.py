@@ -1,108 +1,115 @@
-"""Vectorized K-replication wormhole simulation: one array program, K runs.
+"""The wormhole simulation driver behind ``run`` and ``run_batch``.
 
-:func:`simulate_batch` advances K independent replications of **one
-topology** (same scenario at K seeds, or K scenarios at matched shapes) in
-lockstep. Where :mod:`repro.noc.simengine` walks python sets and deques for
-a single run, this engine keys every piece of per-link / per-flow / per-flit
-state by a flat ``(replication, entity)`` integer —
+:func:`simulate_batch` (``WormholeSimulator.run_batch``) and
+:func:`repro.noc.simengine.simulate` (``WormholeSimulator.run``, K = 1)
+both call :func:`_simulate`, which runs K replications of **one topology**
+(the same scenario at K seeds, or K scenarios) in three steps:
 
-* link entity ``e = k * n_links + lid``,
-* source-flow entity ``s = k * n_flows + fi``,
-* packet ``p = k * P_max + pid`` and flit ``fid = p * L + j``
+1. :func:`_prepare` draws every replication's injection schedule, all the
+   entropy a run consumes (below);
+2. the cycle loop turns the schedules into integer counters and latency
+   sums: the C kernel of ``wormhole.c`` (:func:`_run_kernel`, built and
+   loaded by :mod:`repro.noc.ckernel`), which runs each replication's
+   scalar occupancy-driven loop in turn, or, only when that kernel cannot
+   be built or loaded, the numpy lockstep loop :func:`_run_lockstep`;
+3. :func:`_stats` divides the integer sums into
+   :class:`~repro.noc.simulator.SimulationStats`, all the floats.
 
-— and performs each simulation phase as a handful of numpy gather/scatter
-operations over *active lists* (index arrays of the entities that can act
-this cycle), so the per-cycle python overhead is a fixed number of array
-ops regardless of K. Replications that finish early (network drained, or
-their ``drain_limit`` hit) are masked out of every active list rather than
-resimulated.
+Every replication's stats **and** its per-cycle
+``("deliver"|"eject", cycle, link, pid)`` trace are bit-identical on both
+loops to a solo run of the frozen :mod:`repro.noc.reference` simulator
+with the same seed; ``wormhole.c`` states the argument for the kernel.
 
-Bit-exactness
--------------
+Schedules
+---------
 
-The contract is absolute and inherited from the PR 1/3/4 playbook: every
-replication's :class:`~repro.noc.simulator.SimulationStats` **and** its
-per-cycle ``("deliver"|"eject", cycle, link, pid)`` trace are byte-identical
-to a solo :func:`repro.noc.simengine.simulate` run with the same seed, and
-therefore to the frozen :mod:`repro.noc.reference` loop. The argument,
-phase by phase:
+Each replication's schedule is built from the very same seeded stream the
+reference consumes (``make_rng(seed, "wormhole")``), by the scalar
+:func:`~repro.noc.scenarios.build_schedule` or, for memoryless scenarios
+(Bernoulli / hotspot / scaled; they declare themselves via
+:meth:`~repro.noc.scenarios.TrafficScenario.bernoulli_probs`) drawing enough
+arrivals per flow (:func:`_vectorize`), by a vectorized geometric-gap
+sampler that draws the identical MT19937 stream
+through :class:`numpy.random.RandomState` (CPython's ``random.Random`` and
+numpy's legacy generator share ``init_by_array`` seeding and the 53-bit
+``genrand_res53`` output path, so the raw draws are bit-equal); only the
+*integer* gap floors matter downstream, and any draw within 1e-9
+(relative) of an integer or of the horizon, the only place a <= 2-ulp
+``np.log`` vs ``math.log`` discrepancy could flip a floor, is recomputed
+with ``math.log``. Either way the cycle loops are RNG-free.
 
-1. **Schedules** are built per replication from the very same seeded
-   stream a solo run consumes (``make_rng(seed, "wormhole")``). Memoryless
-   scenarios (Bernoulli / hotspot / scaled — they declare themselves via
-   :meth:`~repro.noc.scenarios.TrafficScenario.bernoulli_probs`) go through
-   a vectorized geometric-gap sampler that draws the identical MT19937
-   stream through :class:`numpy.random.RandomState` (CPython's
-   ``random.Random`` and numpy's legacy generator share ``init_by_array``
-   seeding and the 53-bit ``genrand_res53`` output path, so the raw draws
-   are bit-equal); only the *integer* gap floors matter downstream, and any
-   draw within 1e-9 (relative) of an integer or of the horizon — the only
-   place a ≤2-ulp ``np.log`` vs ``math.log`` discrepancy could flip a floor
-   — is recomputed with ``math.log``. Stateful scenarios fall back to the
-   scalar :func:`~repro.noc.scenarios.build_schedule`. Either way all
-   entropy is consumed here, at schedule-build time — the cycle loop is
-   RNG-free.
-2. **Link delivery** (phase 2) touches only each link's own pipeline and
-   its own downstream buffer, so the solo engine's ascending-link-id
-   iteration order affects nothing but the trace order; the batch engine
-   applies all deliveries as independent scatter ops and sorts the cycle's
-   trace events by link id afterwards.
-3. **Source injection** (phase 3) processes flows in a cycle-rotated order;
-   flows interact only when they share a first link, and the first ordered
-   flow that passes the wormhole test wins while every later one is refused
-   by the pipeline-slot test. Failed attempts mutate nothing, so the winner
-   is exactly the minimum-rotation-rank candidate that passes the tests
-   against phase-start state — a vectorized scatter-min.
-4. **Switch arbitration** (phase 4) is the one phase with genuine
+The numpy lockstep loop
+-----------------------
+
+:func:`_run_lockstep` advances the K replications in lockstep, keying
+every piece of per-link / per-flow / per-flit state by a flat
+``(replication, entity)`` integer (link ``k * n_links + lid``, source flow
+``k * n_flows + fi``, packet ``k * P_max + pid``, flit ``p * L + j``) and
+performing each phase as a handful of numpy gather/scatter operations over
+*active lists*, so its per-cycle python overhead is a fixed number of
+array ops regardless of K. Replications that finish early (network
+drained, or their ``drain_limit`` hit) are masked out of every active
+list. Its phase-by-phase argument for matching the scalar loop:
+
+1. **Link delivery** (phase 2) touches only each link's own pipeline and
+   its own downstream buffer, so the scalar loop's ascending-link-id order
+   affects nothing but the trace order; deliveries are independent scatter
+   ops and the cycle's trace events are sorted by link id afterwards.
+2. **Source injection** (phase 3) processes flows in a cycle-rotated
+   order; flows interact only when they share a first link, and the first
+   ordered flow that passes the wormhole test wins while every later one
+   is refused by the pipeline-slot test. Failed attempts mutate nothing,
+   so the winner is exactly the minimum-rotation-rank candidate that
+   passes the tests against phase-start state: a vectorized scatter-min.
+3. **Switch arbitration** (phase 4) is the one phase with genuine
    sequential coupling: outputs of a switch are arbitrated in ascending
    link-id order, and a winner's buffer pop can reveal a successor head
-   that a *later* output of the same switch is allowed to consider. The
-   batch engine computes all winners optimistically from phase-start heads
-   (output-side state — pipeline, allocation, round-robin pointer — is
-   per-output and mutated only at that output's own turn, so phase-start
-   values are exact for it), then detects the single hazard: a winner's
-   pop revealing a new head whose requested output has a strictly greater
+   that a *later* output of the same switch is allowed to consider. All
+   winners are computed optimistically from phase-start heads (output-side
+   state, i.e. pipeline, allocation and round-robin pointer, is per-output
+   and mutated only at that output's own turn, so phase-start values are
+   exact for it), then the single hazard is detected: a winner's pop
+   revealing a new head whose requested output has a strictly greater
    within-switch rank. Any ``(replication, switch)`` pair that trips the
    detector has its vectorized winners suppressed and is re-arbitrated by
-   an exact scalar replica of the solo loop from untouched phase-start
-   state. Cross-switch and cross-replication pairs share no state, so the
-   repair is local and the common hazard-free case stays fully vectorized.
-5. **Event skip** fires only when *every* unfinished replication has empty
+   an exact scalar replica of the scalar loop from untouched phase-start
+   state (counted in :data:`DIRTY_REDOS`). Cross-switch and
+   cross-replication pairs share no state, so the repair is local.
+4. **Event skip** fires only when *every* unfinished replication has empty
    source queues and empty input buffers; the jump target is the minimum
-   over replications of the solo engine's own target (next scheduled
+   over replications of the scalar loop's own target (next scheduled
    injection or drain bound, clamped by the earliest pipeline-ready head).
-   Cycles the solo engine would skip but the batch engine crawls are
-   no-ops for the idle replication by construction, so per-replication
-   finish cycles — and therefore ``drain_cycles`` — are identical.
-
-Latency statistics accumulate as int64 sums and are divided as python
-integers at the end, reproducing the solo engine's floats bit for bit.
+   Cycles a replication's own loop would skip but the lockstep loop crawls
+   are no-ops for it by construction, so per-replication finish cycles,
+   and therefore ``drain_cycles``, are identical.
 
 Memory model
 ------------
 
-State scales as ``K × (links + flows + packets × L)`` — for a few hundred
-replications of a ~60-link design a few tens of MB — plus transient
-active-list arrays bounded by the number of simultaneously in-flight flits.
-Index arrays are word-sized (numpy re-converts narrower dtypes on every
-fancy-indexing call, which costs more than the memory saved); per-flit
-value arrays are int32, and a batch is rejected if ``K × P_max × L``
-reaches 2^31 flits. Link pipelines and input buffers are power-of-two
-ring buffers addressed flat (``entity × capacity + (counter & mask)``)
-and grown geometrically, and
-phase 2 is event-driven off two wake-up calendars (eject links / internal
+Both loops hold ``K x P_max x L`` flits at most, and a batch is rejected
+up front if that reaches 2^31. The kernel keeps one replication's state at
+a time: per-flit hop, ready cycle and FIFO link, all int64. The lockstep
+loop keeps all K: state scales as ``K x (links + flows + packets x L)``
+plus transient active-list arrays bounded by the number of simultaneously
+in-flight flits. Its index arrays are word-sized (numpy re-converts
+narrower dtypes on every fancy-indexing call, which costs more than the
+memory saved), per-flit value arrays are int32, link pipelines and input
+buffers are power-of-two flat ring buffers grown geometrically, and phase
+2 is event-driven off two wake-up calendars (eject links / internal
 links) keyed by head-ready cycle, so idle pipelines cost nothing.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import chain
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SynthesisError
+from repro.noc import ckernel
 from repro.noc.scenarios import ScenarioSpec, build_schedule, make_scenario
 from repro.rng import make_np_rng, make_rng
 
@@ -111,15 +118,28 @@ from repro.rng import make_np_rng, make_rng
 #: integer dtype to ``intp`` on every fancy-indexing call, and at this
 #: engine's array sizes that hidden copy costs more than the memory the
 #: narrower dtype would save. Bulk per-flit *value* arrays (hop counters,
-#: ready cycles) stay int32 — see the memory-model notes above.
+#: ready cycles) stay int32 in the lockstep loop.
 _I = np.int64
 
-#: Diagnostic: total (replication, switch) pairs re-arbitrated by the exact
-#: scalar fallback because the optimistic vectorized pass detected the
-#: revealed-successor hazard. The differential suite reads this to prove the
-#: repair path is actually exercised by its workloads.
+#: Diagnostic: total (replication, switch) pairs the lockstep loop
+#: re-arbitrated with its exact scalar fallback because the optimistic
+#: vectorized pass detected the revealed-successor hazard. The differential
+#: suite reads this to prove the repair path is actually exercised.
 DIRTY_REDOS = 0
 
+#: The vectorized schedule sampler pays a fixed number of numpy calls per
+#: flow and pass, the scalar builder a constant cost per arrival. Measured on
+#: the paper designs (37 and 144 flows, 500 to 8000 cycles, K = 1 and 4),
+#: a pass over K replications costs about as much per flow as
+#: ``_VECTOR_FIXED + _VECTOR_PER_REP * K`` scalar arrivals: the sampler wins
+#: above about 75 expected arrivals per flow at K = 1 and 38 at K = 4.
+_VECTOR_FIXED = 50
+_VECTOR_PER_REP = 25
+
+#: Counters each loop returns per replication, in this order.
+_COUNTERS = ("injected", "flits", "lat_sum", "lat_n", "lat_max", "drain")
+
+_EVENT_KINDS = ("deliver", "eject")
 
 def _mt_state(seed: int, *salt: object) -> np.random.RandomState:
     """A numpy RandomState whose ``random_sample`` stream bit-equals
@@ -297,6 +317,29 @@ def _bernoulli_events_all(probs, cycles: int, states) -> tuple:
     )
 
 
+@dataclass
+class _Job:
+    """K replications of one topology, schedules drawn: what a cycle loop
+    needs. ``sched_fi[k]`` / ``sched_cycle[k]`` give replication ``k``'s
+    packets in pid order (by injection cycle, then flow)."""
+
+    sim: object
+    flows: list
+    cycles: int
+    warmup: int
+    drain_limit: int
+    sched_fi: List[np.ndarray]
+    sched_cycle: List[np.ndarray]
+    delay: np.ndarray       # per link, cycles (>= 1)
+    is_eject: np.ndarray    # per link, bool: ends at a core
+    route_off: np.ndarray   # per flow + 1, offsets into route_flat
+    route_flat: np.ndarray  # link ids of every route, flow after flow
+
+    @property
+    def K(self) -> int:
+        return len(self.sched_fi)
+
+
 def simulate_batch(
     sim,
     *,
@@ -308,7 +351,7 @@ def simulate_batch(
     drain_limit: Optional[int] = None,
     traces: Optional[Sequence[list]] = None,
 ):
-    """Run K lockstep replications; returns one stats object per seed.
+    """Run K replications; returns one stats object per seed.
 
     ``sim`` is a validated :class:`~repro.noc.simulator.WormholeSimulator`.
     ``scenario`` is either one :data:`~repro.noc.scenarios.ScenarioSpec`
@@ -318,8 +361,38 @@ def simulate_batch(
     ``("deliver"|"eject", cycle, link_id, packet_id)`` events exactly as a
     solo run's ``trace`` argument would.
     """
-    from repro.noc.simulator import SimulationStats  # circular at import time
+    return _simulate(
+        sim, cycles=cycles, warmup=warmup, injection_scale=injection_scale,
+        seeds=seeds, scenario=scenario, drain_limit=drain_limit,
+        traces=traces,
+    )
 
+
+def _simulate(sim, *, cycles, warmup, injection_scale, seeds, scenario,
+              drain_limit, traces):
+    """The one driver behind ``run`` and ``run_batch``: schedules, the C
+    kernel (or, only if it cannot be had, the numpy lockstep loop),
+    statistics."""
+    job = _prepare(
+        sim, cycles=cycles, warmup=warmup, injection_scale=injection_scale,
+        seeds=seeds, scenario=scenario, drain_limit=drain_limit,
+        traces=traces,
+    )
+    if job.K == 0:
+        return []
+    loop = _run_kernel if kernel_name() == "c" else _run_lockstep
+    return _stats(job, *loop(job, traces))
+
+
+def kernel_name() -> str:
+    """``"c"`` when the compiled kernel runs the cycle loop, ``"numpy"``
+    when the lockstep fallback does (loading the kernel if need be)."""
+    return "c" if ckernel.load() is not None else "numpy"
+
+
+def _prepare(sim, *, cycles, warmup, injection_scale, seeds, scenario,
+             drain_limit, traces) -> _Job:
+    """Validate a request and draw its K schedules (all its entropy)."""
     if drain_limit is None:
         drain_limit = cycles
     if drain_limit < 0:
@@ -331,76 +404,22 @@ def simulate_batch(
         raise SynthesisError(
             f"got {len(traces)} trace sinks for {K} replications"
         )
-    if K == 0:
-        return []
 
     topo = sim.topology
-    L = sim.packet_length
-    tail_k = L - 1
-    depth = sim.buffer_depth
-
     flows = sorted(topo.routes)
-    F = len(flows)
     probs = [sim._inject_prob[f] * injection_scale for f in flows]
-
-    links = topo.links
-    nl = len(links)
-    delay_py = list(sim._link_delay)
     routes = [topo.routes[f] for f in flows]
-    route_len = [len(r) for r in routes]
+    route_off = np.zeros(len(flows) + 1, dtype=_I)
+    np.cumsum([len(r) for r in routes], out=route_off[1:])
 
-    delay = np.asarray(delay_py, dtype=_I)
-    first_link = np.asarray([r[0] for r in routes], dtype=_I)
-    is_eject = np.asarray([l.dst[0] == "core" for l in links], dtype=bool)
-    route_len_arr = np.asarray(route_len, dtype=_I)
-    route_off = np.zeros(F + 1, dtype=_I)
-    np.cumsum(route_len_arr, out=route_off[1:])
-    route_flat = np.asarray(list(chain.from_iterable(routes)), dtype=_I)
-
-    # Switch arbitration structure, in the solo iteration order: out_ids is
-    # ascending output link id, and every output of a switch shares the
-    # switch's sorted incoming-link list, so a link's scan position is a
-    # per-switch constant.
-    inputs_map = sim._inputs_per_link()
-    out_ids = [o for o, inputs in inputs_map.items() if inputs]
-    n_out = len(out_ids)
-    switch_ids = sorted({links[o].src[1] for o in out_ids})
-    sw_index = {sw: i for i, sw in enumerate(switch_ids)}
-    n_sw = len(switch_ids)
-    switch_outputs: List[List[int]] = [[] for _ in range(n_sw)]
-    out_oi = np.full(nl, -1, dtype=_I)       # lid -> index into rr
-    out_rank = np.full(nl, -1, dtype=_I)     # lid -> rank in switch
-    out_sw = np.full(nl, -1, dtype=_I)       # lid -> switch index
-    n_inputs_of = np.zeros(nl, dtype=_I)     # lid -> len(inputs)
-    pos_of_input = np.full(nl, -1, dtype=_I)  # input lid -> scan pos
-    for oi, out in enumerate(out_ids):
-        sw = sw_index[links[out].src[1]]
-        out_oi[out] = oi
-        out_sw[out] = sw
-        out_rank[out] = len(switch_outputs[sw])
-        switch_outputs[sw].append(out)
-        n_inputs_of[out] = len(inputs_map[out])
-    switch_inputs: List[List[int]] = [[] for _ in range(n_sw)]
-    for sw, outs in enumerate(switch_outputs):
-        switch_inputs[sw] = inputs_map[outs[0]]
-        for pos, lid in enumerate(switch_inputs[sw]):
-            pos_of_input[lid] = pos
-    # Fused hop -> within-switch rank table for the hazard detector.
-    route_rank_flat = out_rank[route_flat]
-
-    # ---------------------------------------------------------------------
-    # Schedule building — the only entropy sink, one solo-identical stream
-    # per replication — and its flattening into injection-event arrays.
-    # Memoryless scenarios take the vectorized sampler; stateful ones the
-    # scalar builder (see the module docstring's bit-exactness argument).
+    # Memoryless scenarios with enough arrivals take the vectorized
+    # sampler; the rest the scalar builder (see the module docstring).
     sched_fi: List[np.ndarray] = []    # per k: flow index per packet, pid order
     sched_cycle: List[np.ndarray] = []  # per k: injection cycle per packet
-    if F != len(probs):  # pragma: no cover - same construction, same length
-        raise SynthesisError(f"got {F} flows but {len(probs)} probabilities")
     shared_eff = None
     if K > 1 and all(s is scenarios[0] for s in scenarios):
         shared_eff = make_scenario(scenarios[0]).bernoulli_probs(flows, probs)
-    if shared_eff is not None:
+    if shared_eff is not None and _vectorize(shared_eff, cycles, K):
         # One memoryless spec across the batch: sample every replication's
         # stream in one matrix pass, then lexsort once globally — the
         # (k, cycle, flow) order *is* replication-major pid order.
@@ -434,7 +453,7 @@ def simulate_batch(
         for k in range(K):
             scen = make_scenario(scenarios[k])
             eff = scen.bernoulli_probs(flows, probs)
-            if eff is not None:
+            if eff is not None and _vectorize(eff, cycles, 1):
                 fi_k, cyc_k = _bernoulli_events(eff, cycles, _mt_state(
                     seeds[k], "wormhole"
                 ))
@@ -455,6 +474,173 @@ def simulate_batch(
             sched_fi.append(fi_k)
             sched_cycle.append(cyc_k)
 
+    L = sim.packet_length
+    p_max = max((a.size for a in sched_fi), default=0)
+    if K * max(1, p_max) * L >= 2**31:
+        raise SynthesisError(
+            f"batch of {K} x {p_max} packets x {L} flits exceeds the 2^31 "
+            "flit-state bound; split the batch"
+        )
+    return _Job(
+        sim=sim, flows=flows, cycles=cycles, warmup=warmup,
+        drain_limit=drain_limit, sched_fi=sched_fi, sched_cycle=sched_cycle,
+        delay=np.asarray(sim._link_delay, dtype=_I),
+        is_eject=np.asarray(
+            [l.dst[0] == "core" for l in topo.links], dtype=bool
+        ),
+        route_off=route_off,
+        route_flat=np.asarray(list(chain.from_iterable(routes)), dtype=_I),
+    )
+
+
+def _vectorize(probs, cycles: int, reps: int) -> bool:
+    """Whether to draw ``reps`` replications of a memoryless scenario with
+    these per-flow probabilities through the vectorized sampler."""
+    arrivals = reps * sum(probs) * cycles / len(probs)  # per flow
+    return arrivals >= _VECTOR_FIXED + _VECTOR_PER_REP * reps
+
+
+def _run_kernel(job: _Job, traces):
+    """The cycle loop in C: returns ``(counters, per_flow)``, int64 arrays
+    of shape ``(K, len(_COUNTERS))`` and ``(K, 2, F)`` (latency sums, then
+    counts), appending trace events to ``traces`` when given."""
+    ffi, lib = ckernel.load()
+    sim = job.sim
+    K, F, L = job.K, len(job.flows), sim.packet_length
+    pkt_off = np.zeros(K + 1, dtype=_I)
+    np.cumsum([a.size for a in job.sched_fi], out=pkt_off[1:])
+    pkt_flow = np.concatenate(job.sched_fi).astype(_I, copy=False)
+    pkt_cycle = np.concatenate(job.sched_cycle).astype(_I, copy=False)
+    inputs_map = sim._inputs_per_link()
+    out_ids = [o for o, inputs in inputs_map.items() if inputs]
+    out_in_off = np.zeros(len(out_ids) + 1, dtype=_I)
+    np.cumsum([len(inputs_map[o]) for o in out_ids], out=out_in_off[1:])
+    out_in_flat = np.asarray(
+        list(chain.from_iterable(inputs_map[o] for o in out_ids)), dtype=_I
+    )
+    out = np.zeros((K, len(_COUNTERS) + 1), dtype=_I)  # + event count
+    pf = np.zeros((K, 2, F), dtype=_I)
+    ev_off = events = None
+    if traces is not None:
+        # One event per flit per link of its route, at most.
+        per_pkt = L * np.diff(job.route_off)[pkt_flow]
+        ev_off = np.concatenate(([0], np.cumsum(per_pkt)))[pkt_off]
+        events = np.zeros((max(1, int(ev_off[-1])), 4), dtype=_I)
+
+    def ptr(a):
+        """``a`` as an ``int64_t *``; the cdata keeps ``a`` alive."""
+        if a is None:
+            return ffi.NULL
+        if a.dtype != _I or not a.flags.c_contiguous:
+            raise TypeError("kernel arrays must be C-contiguous int64")
+        return ffi.from_buffer("int64_t[]", a)
+
+    rc = lib.wormhole_run(
+        K, len(job.delay), F, L, sim.buffer_depth, job.cycles, job.warmup,
+        job.drain_limit, ptr(job.delay), ptr(job.is_eject.astype(_I)),
+        ptr(job.route_off), ptr(job.route_flat), len(out_ids),
+        ptr(np.asarray(out_ids, dtype=_I)), ptr(out_in_off), ptr(out_in_flat),
+        ptr(pkt_off), ptr(pkt_flow), ptr(pkt_cycle), ptr(out), ptr(pf),
+        ptr(ev_off), ptr(events),
+    )
+    if rc == -1:
+        raise MemoryError("wormhole kernel: out of memory")
+    if rc != 0:
+        raise RuntimeError(f"wormhole kernel failed with code {rc}")
+    if traces is not None:
+        for k, n in enumerate(out[:, -1].tolist()):
+            lo = int(ev_off[k])
+            traces[k].extend(
+                (_EVENT_KINDS[kind], cycle, lid, pid)
+                for kind, cycle, lid, pid in events[lo:lo + n].tolist()
+            )
+    return out[:, :-1], pf
+
+
+def _stats(job: _Job, counters: np.ndarray, per_flow: np.ndarray):
+    """One :class:`SimulationStats` per replication from the loops' integer
+    sums: python-int divisions of the totals the reference sums, so the
+    floats are bit-identical."""
+    from repro.noc.simulator import SimulationStats  # circular at import time
+
+    results = []
+    for row, (sums, counts) in zip(counters.tolist(), per_flow.tolist()):
+        injected, flits, lat_sum, n, lat_max, drain = row
+        stats = SimulationStats(
+            cycles=job.cycles,
+            packets_injected=injected,
+            packets_delivered=n,
+            flits_delivered=flits,
+            avg_packet_latency=lat_sum / n if n else 0.0,
+            max_packet_latency=lat_max if n else 0,
+            drain_cycles=drain,
+        )
+        for flow, total, m in zip(job.flows, sums, counts):
+            stats.per_flow_delivered[flow] = m
+            if m:
+                stats.per_flow_latency[flow] = total / m
+        results.append(stats)
+    return results
+
+
+def _run_lockstep(job: _Job, traces):
+    """The cycle loop as one numpy program over all K replications (see
+    the module docstring); same return value as :func:`_run_kernel`."""
+    sim = job.sim
+    topo = sim.topology
+    K = job.K
+    L = sim.packet_length
+    tail_k = L - 1
+    depth = sim.buffer_depth
+    cycles, warmup, drain_limit = job.cycles, job.warmup, job.drain_limit
+    sched_fi, sched_cycle = job.sched_fi, job.sched_cycle
+
+    F = len(job.flows)
+    links = topo.links
+    nl = len(links)
+    delay_py = list(sim._link_delay)
+    routes = [topo.routes[f] for f in job.flows]
+    route_len = [len(r) for r in routes]
+
+    delay = job.delay
+    route_off = job.route_off
+    route_flat = job.route_flat
+    first_link = route_flat[route_off[:-1]]
+    is_eject = job.is_eject
+    route_len_arr = np.diff(route_off)
+
+    # Switch arbitration structure, in the scalar loop's order: out_ids is
+    # ascending output link id, and every output of a switch shares the
+    # switch's sorted incoming-link list, so a link's scan position is a
+    # per-switch constant.
+    inputs_map = sim._inputs_per_link()
+    out_ids = [o for o, inputs in inputs_map.items() if inputs]
+    n_out = len(out_ids)
+    switch_ids = sorted({links[o].src[1] for o in out_ids})
+    sw_index = {sw: i for i, sw in enumerate(switch_ids)}
+    n_sw = len(switch_ids)
+    switch_outputs: List[List[int]] = [[] for _ in range(n_sw)]
+    out_oi = np.full(nl, -1, dtype=_I)       # lid -> index into rr
+    out_rank = np.full(nl, -1, dtype=_I)     # lid -> rank in switch
+    out_sw = np.full(nl, -1, dtype=_I)       # lid -> switch index
+    n_inputs_of = np.zeros(nl, dtype=_I)     # lid -> len(inputs)
+    pos_of_input = np.full(nl, -1, dtype=_I)  # input lid -> scan pos
+    for oi, out in enumerate(out_ids):
+        sw = sw_index[links[out].src[1]]
+        out_oi[out] = oi
+        out_sw[out] = sw
+        out_rank[out] = len(switch_outputs[sw])
+        switch_outputs[sw].append(out)
+        n_inputs_of[out] = len(inputs_map[out])
+    switch_inputs: List[List[int]] = [[] for _ in range(n_sw)]
+    for sw, outs in enumerate(switch_outputs):
+        switch_inputs[sw] = inputs_map[outs[0]]
+        for pos, lid in enumerate(switch_inputs[sw]):
+            pos_of_input[lid] = pos
+    # Fused hop -> within-switch rank table for the hazard detector.
+    route_rank_flat = out_rank[route_flat]
+
+    # The schedules flattened into injection-event arrays.
     tot_k = np.asarray([a.size for a in sched_fi], dtype=np.int64)
     k_cat = np.repeat(np.arange(K, dtype=np.int64), tot_k)
     cyc_cat = (
@@ -465,12 +651,6 @@ def simulate_batch(
     ).reshape(K, cycles)
     Pmax = max(1, int(tot_k.max()))
     NP = K * Pmax          # packet-slot count (flat packet index space)
-    if NP * L >= 2**31:
-        raise SynthesisError(
-            f"batch of {K} x {Pmax} packets x {L} flits exceeds the 2^31 "
-            "flit-state bound; split the batch"
-        )
-
     # pkt_flow / pkt_cycle, flat over p = k * Pmax + pid.
     pkt_flow = np.zeros(NP, dtype=_I)
     pkt_cycle = np.full(NP, cycles, dtype=_I)
@@ -1147,27 +1327,13 @@ def simulate_batch(
                 sf, weights=lat, minlength=S
             ).astype(np.int64)
             pf_n = np.bincount(sf, minlength=S)
-
-    results = []
-    for k in range(K):
-        n = int(lat_n[k])  # == the solo engine's ``delivered`` counter
-        stats = SimulationStats(
-            cycles=cycles,
-            packets_injected=int(injected[k]),
-            packets_delivered=n,
-            flits_delivered=int(flits_delivered[k]),
-            avg_packet_latency=int(lat_sum[k]) / n if n else 0.0,
-            max_packet_latency=int(lat_max[k]) if n else 0,
-            drain_cycles=int(drain_rec[k]),
-        )
-        base = k * F
-        for fi, flow in enumerate(flows):
-            m = int(pf_n[base + fi])
-            stats.per_flow_delivered[flow] = m
-            if m:
-                stats.per_flow_latency[flow] = int(pf_sum[base + fi]) / m
-        results.append(stats)
-    return results
+    counters = np.stack([
+        np.asarray([int((c >= warmup).sum()) for c in sched_cycle]),
+        flits_delivered, lat_sum, lat_n, lat_max, drain_rec,
+    ], axis=1).astype(np.int64)
+    return counters, np.stack(
+        [pf_sum.reshape(K, F), pf_n.reshape(K, F)], axis=1
+    ).astype(np.int64)
 
 
 def _per_replication_scenarios(scenario, K: int) -> List[ScenarioSpec]:

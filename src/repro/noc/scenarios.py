@@ -27,11 +27,12 @@ the first simulated cycle, in one well-defined order per scenario class:
 Bernoulli-style scenarios sample geometric inter-arrival gaps flow-major
 (one draw per *arrival*, not per cycle — the same process, far fewer
 draws); the bursty chain draws cycle-major per active flow. Both the
-array-based engine (:mod:`repro.noc.simengine`) and the frozen naive
+simulation driver (:mod:`repro.noc.batchengine`) and the frozen naive
 reference (:mod:`repro.noc.reference`) build their schedule through the
 same :meth:`TrafficScenario.schedule` call on the same freshly-seeded
-generator, which is what keeps their trajectories bit-identical across
-every scenario.
+generator (or, in the driver, a vectorised sampler that replays that
+stream draw for draw), which is what keeps their trajectories
+bit-identical across every scenario.
 
 Scenario objects are frozen dataclasses built from plain numbers, so they
 pickle untouched across the :class:`~repro.engine.tasks.SimulationTask`

@@ -1,18 +1,20 @@
-"""Vectorized K-replication batch engine vs solo engine vs frozen reference.
+"""The simulation driver's two cycle loops vs the frozen reference.
 
-The contract of :mod:`repro.noc.batchengine` (the batch-simulator PR): for
-every replication in a batch, the returned :class:`SimulationStats` *and*
-the per-cycle ``("deliver"|"eject", cycle, link, pid)`` trace are
-bit-identical to a solo :meth:`WormholeSimulator.run` at that seed — and,
-transitively, to the frozen :class:`ReferenceWormholeSimulator`. Per
-replication, nothing may depend on K: not the stats, not the trace, not
-the drain accounting of a sibling that saturates or finishes early.
+The contract of :mod:`repro.noc.batchengine`: for every replication in a
+batch, the returned :class:`SimulationStats` *and* the per-cycle
+``("deliver"|"eject", cycle, link, pid)`` trace are bit-identical to a solo
+:class:`ReferenceWormholeSimulator` run at that seed, on both cycle loops:
+the C kernel (``_run_kernel``) and the numpy lockstep fallback
+(``_run_lockstep``), each called directly. Per replication, nothing may
+depend on K: not the stats, not the trace, not the drain accounting of a
+sibling that saturates or finishes early.
 
 The harness has four layers:
 
 * a trajectory-identity matrix over topology x scenario x packet length x
-  buffer depth x (injection scale, drain limit), batch against solo, plus
-  a three-way leg that folds in the frozen naive reference;
+  buffer depth x (injection scale, drain limit), both loops against the
+  frozen reference, plus a three-way leg that folds in solo ``run``, and
+  kernel trace-identity edge cases;
 * pinning tests for the vectorised schedule builder and RNG bridge
   (``_mt_state`` / ``_bernoulli_events`` must replay ``make_rng`` /
   ``build_schedule`` exactly, including degenerate probabilities);
@@ -25,6 +27,7 @@ The harness has four layers:
 """
 
 import functools
+import shutil
 
 import numpy as np
 import pytest
@@ -51,20 +54,33 @@ def _solo(topo, seed, *, L=4, depth=4, cycles=400, warmup=100, scale=1.0,
 
 
 def _batch(topo, seeds, *, L=4, depth=4, cycles=400, warmup=100, scale=1.0,
-           scenario=None, drain=None):
+           scenario=None, drain=None, loop=None):
+    """``run_batch``, or with ``loop`` given, that cycle loop called
+    directly between the driver's own preparation and stats assembly."""
     traces = [[] for _ in seeds]
     sim = WormholeSimulator(
         topo, seed=0, packet_length_flits=L, buffer_depth=depth
     )
-    stats = sim.run_batch(
-        list(seeds), cycles=cycles, warmup=warmup, injection_scale=scale,
-        scenario=scenario, drain_limit=drain, traces=traces,
-    )
-    return stats, traces
+    kw = dict(cycles=cycles, warmup=warmup, injection_scale=scale,
+              scenario=scenario, drain_limit=drain, traces=traces)
+    if loop is None:
+        return sim.run_batch(list(seeds), **kw), traces
+    job = batchengine._prepare(sim, seeds=list(seeds), **kw)
+    return batchengine._stats(job, *loop(job, traces)), traces
+
+
+def _loops():
+    """Both cycle loops. Only a host without a C compiler may lack the
+    kernel; anywhere else a missing kernel fails the test."""
+    if batchengine.ckernel.load() is None:
+        assert shutil.which("cc") is None and shutil.which("gcc") is None
+        return [batchengine._run_lockstep]
+    return [batchengine._run_kernel, batchengine._run_lockstep]
 
 
 class TestBatchTrajectoryIdentity:
-    """Batch output is the tuple of solo outputs, trajectory for trajectory."""
+    """Batch output is the tuple of reference outputs, trajectory for
+    trajectory, on both cycle loops."""
 
     @pytest.mark.parametrize("topo_factory", [
         contended_topology, cross_contended_topology,
@@ -77,11 +93,20 @@ class TestBatchTrajectoryIdentity:
         for scale, drain in [(0.3, None), (2.0, None), (2.0, 0), (2.5, 7)]:
             kw = dict(L=L, depth=depth, scale=scale,
                       scenario=scenario, drain=drain)
-            batch_stats, batch_traces = _batch(topo, seeds, **kw)
-            for i, seed in enumerate(seeds):
-                solo_stats, solo_trace = _solo(topo, seed, **kw)
-                assert batch_stats[i] == solo_stats, (scale, drain, seed)
-                assert batch_traces[i] == solo_trace, (scale, drain, seed)
+            refs = [
+                _solo(topo, seed, sim_cls=ReferenceWormholeSimulator, **kw)
+                for seed in seeds
+            ]
+            for seed, ref in zip(seeds, refs):
+                assert _solo(topo, seed, **kw) == ref, (scale, drain, seed)
+            for loop in _loops():
+                batch_stats, batch_traces = _batch(
+                    topo, seeds, loop=loop, **kw
+                )
+                for i, (ref_stats, ref_trace) in enumerate(refs):
+                    where = (loop.__name__, scale, drain, seeds[i])
+                    assert batch_stats[i] == ref_stats, where
+                    assert batch_traces[i] == ref_trace, where
 
     @pytest.mark.parametrize("scale,scenario,drain", [
         (0.3, None, None),
@@ -94,14 +119,52 @@ class TestBatchTrajectoryIdentity:
     ):
         seeds = [0, 1, 2]
         kw = dict(scale=scale, scenario=scenario, drain=drain)
-        batch_stats, batch_traces = _batch(contended_topo, seeds, **kw)
-        for i, seed in enumerate(seeds):
-            eng_stats, eng_trace = _solo(contended_topo, seed, **kw)
-            ref_stats, ref_trace = _solo(
-                contended_topo, seed, sim_cls=ReferenceWormholeSimulator, **kw
+        for loop in _loops():
+            batch_stats, batch_traces = _batch(
+                contended_topo, seeds, loop=loop, **kw
             )
-            assert batch_stats[i] == eng_stats == ref_stats
-            assert batch_traces[i] == eng_trace == ref_trace
+            for i, seed in enumerate(seeds):
+                eng_stats, eng_trace = _solo(contended_topo, seed, **kw)
+                ref_stats, ref_trace = _solo(
+                    contended_topo, seed, sim_cls=ReferenceWormholeSimulator,
+                    **kw
+                )
+                assert batch_stats[i] == eng_stats == ref_stats, loop
+                assert batch_traces[i] == eng_trace == ref_trace, loop
+
+    @pytest.mark.parametrize("case", [
+        dict(drain=0, scale=2.5),
+        dict(scenario=["scaled:0", "scaled:8", "scaled:0"], drain=40),
+        dict(depth=1, scale=2.0),
+    ], ids=["drain_limit_0", "saturated_beside_idle", "buffer_depth_1"])
+    def test_kernel_trace_identity(self, case):
+        """Kernel edge cases, trace for trajectory against the reference:
+        a hard stop at the horizon, a saturated replication that exhausts
+        its drain budget beside two that never inject, one-flit buffers."""
+        if batchengine._run_kernel not in _loops():
+            pytest.skip("no C compiler: the kernel cannot be built")
+        topo = cross_contended_topology()
+        seeds = [0, 1, 2]
+        scenario = case.pop("scenario", None)
+        per_rep = scenario if scenario is not None else [None] * len(seeds)
+        kw = dict(cycles=600, warmup=100, **case)
+        batch_stats, batch_traces = _batch(
+            topo, seeds, scenario=scenario, loop=batchengine._run_kernel,
+            **kw,
+        )
+        for i, (seed, scen) in enumerate(zip(seeds, per_rep)):
+            ref_stats, ref_trace = _solo(
+                topo, seed, scenario=scen,
+                sim_cls=ReferenceWormholeSimulator, **kw
+            )
+            assert batch_stats[i] == ref_stats
+            assert batch_traces[i] == ref_trace
+        if scenario is not None:
+            assert batch_traces[0] == batch_traces[2] == []
+            assert batch_stats[1].drain_cycles == 40
+            assert batch_stats[1].packets_delivered < (
+                batch_stats[1].packets_injected
+            )
 
     def test_ragged_early_finish(self, contended_topo):
         """Replications under wildly different loads finish draining at
@@ -136,13 +199,14 @@ class TestBatchTrajectoryIdentity:
 
     def test_hazard_repair_exercised_and_identical(self):
         """The saturated cross-contended run must take the lockstep
-        engine's hazard-repair path (DIRTY_REDOS grows) and still match
+        loop's hazard-repair path (DIRTY_REDOS grows) and still match
         solo trajectories — the repairs are invisible in the output."""
         topo = cross_contended_topology()
         seeds = list(range(5))
         before = batchengine.DIRTY_REDOS
         batch_stats, batch_traces = _batch(
             topo, seeds, depth=2, scale=2.5, cycles=600, warmup=100,
+            loop=batchengine._run_lockstep,
         )
         assert batchengine.DIRTY_REDOS > before
         for i, seed in enumerate(seeds):

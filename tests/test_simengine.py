@@ -1,7 +1,7 @@
-"""Array-based simulation engine vs the frozen naive reference.
+"""Solo ``WormholeSimulator.run`` vs the frozen naive reference.
 
-The contract of the :mod:`repro.noc.simengine` overhaul (the PR 3 / engine
-playbook): for identical seeds, scenarios and parameters the engine and
+The contract of :mod:`repro.noc.simengine` (a solo run on the shared
+driver): for identical seeds, scenarios and parameters ``run`` and
 :class:`repro.noc.reference.ReferenceWormholeSimulator` produce
 *bit-identical* statistics and per-cycle delivery traces. Plus the two
 model fixes both implementations share: at most one flit leaves a link per
