@@ -25,6 +25,11 @@ Measures the claims this subsystem makes and writes them to
   of :mod:`repro.floorplan.reference` on the same design's 2-D
   floorplanning problem, single-threaded moves/sec plus the multi-start
   serial/parallel leg, with bit-identity checks;
+* **NoC insertion hot path** — the array free-space search of
+  :func:`repro.floorplan.inserter.insert_components` versus the frozen
+  per-candidate :func:`~repro.floorplan.reference.naive_insert_components`
+  on the design's switch-insertion calls (placement-LP positions),
+  single-threaded, with an identity check down to coordinate ``repr``;
 * **wormhole simulator hot path** — ``WormholeSimulator.run`` versus the
   frozen naive baseline of :mod:`repro.noc.reference` on the same design's
   synthesized topology, single-threaded cycles/sec at validation load
@@ -54,6 +59,7 @@ bench``, which exits 1 on any ``fail``) and
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 from pathlib import Path
@@ -154,6 +160,8 @@ GATES = (
     Gate("compute_paths.speedup", ">=", 1.3),
     Gate("floorplan.identical_results", "==", True),
     Gate("floorplan.speedup", ">=", 3.0),
+    Gate("floorplan.insert.identical_results", "==", True),
+    Gate("floorplan.insert.speedup", ">=", 5.0),
     Gate("floorplan.multistart.identical_results", "==", True),
     Gate("floorplan.multistart.speedup", ">=", 2.0,
          min_cpus=SCALING_JOBS),
@@ -595,6 +603,96 @@ def _bench_floorplan(
             "identical_results": multi_identical,
             "winner_restart": serial.restart_index,
         },
+        "insert": _bench_insert(bench, timings, say),
+    }
+
+
+def _switch_insertions(bench) -> List[tuple]:
+    """The floorplan stage's switch-insertion calls on the benchmark design.
+
+    Candidates of 3..10 switches run the pipeline up to the placement LP;
+    each layer then yields ``(cores, switches)`` built as the floorplan
+    stage builds them, switches at their LP positions.
+    """
+    from repro.core.pipeline import FlowContext, build_pipeline
+    from repro.floorplan.geometry import Rect
+    from repro.floorplan.inserter import NewComponent
+    from repro.floorplan.placement import PlacedComponent
+
+    ctx = FlowContext.build(bench.core_spec_3d, bench.comm_spec,
+                            config=SynthesisConfig(max_ill=16))
+    front = build_pipeline(("precheck", "skeleton", "routing", "placement_lp"))
+    model = ctx.library.switch
+    calls = []
+    for count in range(3, 11):
+        state = front.evaluate(ctx, phase1_candidate(ctx.graph, ctx.config,
+                                                     count))
+        if not state.ok:
+            continue
+        for layer in range(max(ctx.core_spec.num_layers, 1)):
+            cores = [
+                PlacedComponent(core.name, "core", Rect(
+                    core.x, core.y, core.width, core.height), layer)
+                for core in ctx.core_spec.cores_in_layer(layer)
+            ]
+            switches = []
+            for sw in state.topology.switches:
+                if sw.layer == layer:
+                    side = math.sqrt(
+                        model.area_mm2(max(sw.size, model.min_ports)))
+                    switches.append(NewComponent(
+                        f"sw{sw.id}", "switch", side, side, (sw.x, sw.y)))
+            if switches:
+                calls.append((cores, switches))
+    return calls
+
+
+def _bench_insert(
+    bench, timings: StageTimings, say: Callable[[str], None]
+) -> Dict:
+    """Array vs per-candidate free-space search on the same insertions.
+
+    Identity covers every output rect by coordinate ``repr`` (a ``float``
+    and an ``np.float64`` of equal value differ) and every
+    :class:`~repro.floorplan.inserter.InsertionReport`.
+    """
+    from repro.floorplan.inserter import InsertionReport, insert_components
+    from repro.floorplan.reference import naive_insert_components
+
+    calls = _switch_insertions(bench)
+
+    def insert_all(inserter) -> List:
+        out = []
+        for cores, switches in calls:
+            report = InsertionReport()
+            placed = inserter(cores, switches, report=report)
+            out.append(([(c.name, repr(c.rect)) for c in placed], report))
+        return out
+
+    insert_all(insert_components)  # warm the offset grid off the clock
+    insert_all(naive_insert_components)
+    array = naive = None
+    for _ in range(3):
+        with timings.time("insert_array"):
+            array = insert_all(insert_components)
+        with timings.time("insert_naive"):
+            naive = insert_all(naive_insert_components)
+    array_s = timings.best_s("insert_array")
+    naive_s = timings.best_s("insert_naive")
+    identical = array == naive
+    speedup = naive_s / array_s if array_s > 0 else float("inf")
+    say(
+        f"floorplan insert: naive {naive_s * 1e3:.1f}ms, array "
+        f"{array_s * 1e3:.1f}ms over {len(calls)} layer insertions -> "
+        f"{speedup:.2f}x (identical results: {identical})"
+    )
+    return {
+        "insertions": len(calls),
+        "components": sum(len(switches) for _, switches in calls),
+        "naive_s": round(naive_s, 5),
+        "array_s": round(array_s, 5),
+        "speedup": round(speedup, 3),
+        "identical_results": identical,
     }
 
 

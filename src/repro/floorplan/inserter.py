@@ -13,12 +13,16 @@ The routine operates on a single layer; callers loop over layers.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import FloorplanError
-from repro.floorplan.geometry import Rect, rects_overlap
+from repro.floorplan.geometry import _EPS, Rect, rects_overlap
 from repro.floorplan.placement import PlacedComponent
 
 
@@ -124,11 +128,51 @@ def _find_free_spot(
     so the first hit is the closest free spot at that resolution. The grid
     (rather than a sparse ring scan) matters in tightly packed floorplans,
     where the only free space is thin slivers between cores.
-    """
-    if not _overlaps_any(target, placed):
-        return target
 
+    The ideal position and every grid candidate are tested at once: one
+    ``candidates x placed`` boolean matrix, each entry the
+    :func:`~repro.floorplan.geometry.rects_overlap` expression evaluated in
+    float64 (the same IEEE operations as the scalar test), so the first free
+    candidate in grid order is the one the one-at-a-time scan finds. The
+    returned rect is rebuilt from the original scalars, keeping the
+    coordinate types (``float`` or ``np.float64``) of the scalar code.
+    """
+    if not placed:
+        return target
     steps = max(1, int(math.ceil(search_radius / grid_step)))
+    offsets, dx, dy = _offset_grid(steps, grid_step)
+    xs = target.x + dx
+    ys = target.y + dy
+    boxes = np.array([(r.x, r.x + r.width, r.y, r.y + r.height) for r in placed])
+    bx, bx2, by, by2 = boxes.T
+    xs_c, ys_c = xs[:, None], ys[:, None]
+    overlap = (
+        (xs_c + _EPS < bx2)
+        & (bx + _EPS < xs_c + target.width)
+        & (ys_c + _EPS < by2)
+        & (by + _EPS < ys_c + target.height)
+    ).any(axis=1)
+    free = ~(overlap | (xs < 0) | (ys < 0))
+    if not free.any():
+        return None
+    i = int(free.argmax())
+    if i == 0:
+        return target
+    ox, oy = offsets[i]
+    return target.moved_to(target.x + ox, target.y + oy)
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _offset_grid(
+    steps: int, grid_step: float
+) -> Tuple[Tuple[Tuple[float, float], ...], np.ndarray, np.ndarray]:
+    """The search grid in visiting order, led by the zero offset.
+
+    Offsets are sorted as ``(|dx| + |dy|, dx, dy)`` tuples: increasing
+    Manhattan distance, ties broken by ``dx`` then ``dy``. Returned both as
+    the scalar ``(dx, dy)`` pairs (rebuilding the chosen rect) and as
+    read-only float64 arrays (testing every candidate at once).
+    """
     offsets = []
     for i in range(-steps, steps + 1):
         for j in range(-steps, steps + 1):
@@ -137,19 +181,10 @@ def _find_free_spot(
             dx, dy = i * grid_step, j * grid_step
             offsets.append((abs(dx) + abs(dy), dx, dy))
     offsets.sort()
-    for _dist, dx, dy in offsets:
-        x = target.x + dx
-        y = target.y + dy
-        if x < 0 or y < 0:
-            continue
-        candidate = target.moved_to(x, y)
-        if not _overlaps_any(candidate, placed):
-            return candidate
-    return None
-
-
-def _overlaps_any(rect: Rect, placed: Sequence[Rect]) -> bool:
-    return any(rects_overlap(rect, other) for other in placed)
+    pairs = ((0.0, 0.0),) + tuple((dx, dy) for _dist, dx, dy in offsets)
+    arrays = np.array(pairs, dtype=np.float64).T.copy()
+    arrays.setflags(write=False)
+    return pairs, arrays[0], arrays[1]
 
 
 def _displace(rects: List[Rect], new_index: int) -> None:
@@ -175,19 +210,20 @@ def _cascade(
     ``new_index`` never moves. Pushes strictly increase the pushed
     coordinate, so the cascade terminates.
     """
-    working = {i: r for i, r in enumerate(rects)}
+    working = list(rects)
     total = 0.0
-    # Worklist of blocks that may overlap something and must be checked
-    # against all others; start from the inserted block.
-    frontier = [new_index]
+    # FIFO worklist of blocks that may overlap something and must be
+    # checked against all others (in index order); start from the
+    # inserted block.
+    frontier = deque([new_index])
     guard = 0
     while frontier:
         guard += 1
         if guard > 10_000:
             raise FloorplanError("displacement cascade failed to converge")
-        pusher = frontier.pop(0)
+        pusher = frontier.popleft()
         pr = working[pusher]
-        for idx in sorted(working):
+        for idx in range(len(working)):
             if idx == pusher or idx == new_index:
                 continue
             r = working[idx]
@@ -202,6 +238,6 @@ def _cascade(
                 total += shift
                 frontier.append(idx)
     changed = {
-        i: r for i, r in working.items() if r is not rects[i] and i != new_index
+        i: r for i, r in enumerate(working) if r is not rects[i] and i != new_index
     }
     return total, changed

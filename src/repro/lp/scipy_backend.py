@@ -11,7 +11,7 @@ variables are shifted (``x = lo + x'``), free variables are split
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -23,36 +23,7 @@ from repro.lp.simplex import solve_simplex
 
 def solve_with_scipy(lp: LinearProgram) -> Solution:
     """Solve with scipy's HiGHS solver."""
-    c, rows, bounds = lp.as_arrays()
-    n = len(c)
-
-    a_ub: List[List[float]] = []
-    b_ub: List[float] = []
-    a_eq: List[List[float]] = []
-    b_eq: List[float] = []
-    for coeffs, sense, rhs in rows:
-        dense = [0.0] * n
-        for idx, coef in coeffs.items():
-            dense[idx] = coef
-        if sense == "<=":
-            a_ub.append(dense)
-            b_ub.append(rhs)
-        elif sense == ">=":
-            a_ub.append([-v for v in dense])
-            b_ub.append(-rhs)
-        else:
-            a_eq.append(dense)
-            b_eq.append(rhs)
-
-    result = linprog(
-        c=np.asarray(c, dtype=float),
-        A_ub=np.asarray(a_ub) if a_ub else None,
-        b_ub=np.asarray(b_ub) if b_ub else None,
-        A_eq=np.asarray(a_eq) if a_eq else None,
-        b_eq=np.asarray(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-    )
+    result = linprog(**_lower_for_linprog(lp), method="highs")
     if result.status == 2:
         raise InfeasibleLPError(result.message)
     if result.status == 3:
@@ -60,6 +31,44 @@ def solve_with_scipy(lp: LinearProgram) -> Solution:
     if not result.success:
         raise LPError(f"linprog failed: {result.message}")
     return Solution(objective=float(result.fun), values=list(result.x))
+
+
+def _lower_for_linprog(lp: LinearProgram) -> Dict[str, object]:
+    """``linprog`` arguments: dense float64 rows in constraint order.
+
+    ``<=`` rows go to ``A_ub``/``b_ub`` as written, ``>=`` rows negated
+    (zero entries included, so they become ``-0.0``), ``==`` rows to
+    ``A_eq``/``b_eq``; an empty block is passed as ``None``.
+    """
+    c, rows, bounds = lp.as_arrays()
+    n = len(c)
+    n_eq = sum(sense == "==" for _, sense, _ in rows)
+    a_ub = np.zeros((len(rows) - n_eq, n))
+    b_ub = np.zeros(len(rows) - n_eq)
+    a_eq = np.zeros((n_eq, n))
+    b_eq = np.zeros(n_eq)
+    i_ub = i_eq = 0
+    for coeffs, sense, rhs in rows:
+        if sense == "==":
+            row = a_eq[i_eq]
+            b_eq[i_eq] = rhs
+            i_eq += 1
+        else:
+            row = a_ub[i_ub]
+            b_ub[i_ub] = -rhs if sense == ">=" else rhs
+            i_ub += 1
+        for idx, coef in coeffs.items():
+            row[idx] = coef
+        if sense == ">=":
+            np.negative(row, out=row)
+    return {
+        "c": np.asarray(c, dtype=float),
+        "A_ub": a_ub if len(a_ub) else None,
+        "b_ub": b_ub if len(b_ub) else None,
+        "A_eq": a_eq if len(a_eq) else None,
+        "b_eq": b_eq if len(b_eq) else None,
+        "bounds": bounds,
+    }
 
 
 def solve_with_simplex(lp: LinearProgram) -> Solution:

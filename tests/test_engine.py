@@ -269,6 +269,22 @@ class TestSimBatchBenchmarkLeg:
         assert timings.best_s("sim_batch_engine") > 0
 
 
+class TestInsertBenchmarkLeg:
+    """The NoC-insertion leg on the benchmark design: its inputs are the
+    floorplan stage's switch insertions and both inserters agree."""
+
+    def test_report_shape_and_identity(self):
+        timings = StageTimings()
+        lines = []
+        report = bm._bench_insert(bm._design(), timings, lines.append)
+        assert report["identical_results"]
+        assert report["insertions"] > 0
+        assert report["components"] >= report["insertions"]
+        assert report["naive_s"] > 0 and report["array_s"] > 0
+        assert len(lines) == 1
+        assert timings.count("insert_array") == 3
+
+
 class TestBenchmarkGates:
     """The engine benchmark's gate evaluator on synthetic report dicts (no
     leg runs), and ``cli bench``'s exit status on its verdicts."""

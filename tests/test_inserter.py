@@ -1,7 +1,8 @@
 """Custom NoC-insertion routine (repro.floorplan.inserter, paper Sec. VII)."""
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import FloorplanError
 from repro.floorplan.geometry import Rect
@@ -11,6 +12,7 @@ from repro.floorplan.inserter import (
     insert_components,
 )
 from repro.floorplan.placement import ChipFloorplan, PlacedComponent
+from repro.floorplan.reference import naive_insert_components
 
 
 def _cores(*rects, layer=0):
@@ -114,3 +116,102 @@ class TestInsertionProperties:
         assert _legal(out)
         names = {c.name for c in out}
         assert all(f"sw{k}" in names for k in range(n_new))
+
+
+# --------------------------------------------------------------------------
+# the array search against the frozen per-candidate inserter
+# --------------------------------------------------------------------------
+
+#: A coordinate as the callers produce it: a plain float, or the
+#: ``np.float64`` the placement LP hands over.
+_coord = st.builds(
+    lambda v, kind: kind(v),
+    st.floats(min_value=0.0, max_value=4.0),
+    st.sampled_from([float, np.float64]),
+)
+
+
+@st.composite
+def _layers(draw):
+    """One layer: cores (dense tilings included), components to insert and
+    a search grid whose pitch need not divide the radius."""
+    layer = draw(st.integers(min_value=0, max_value=2))
+    if draw(st.booleans()):
+        # A gap-free tiling: free space only at its border.
+        n = draw(st.integers(min_value=1, max_value=3))
+        rects = [Rect(float(i), float(j), 1.0, 1.0)
+                 for i in range(n) for j in range(n)]
+    else:
+        rects = draw(st.lists(
+            st.builds(Rect, _coord, _coord,
+                      st.floats(min_value=0.2, max_value=1.5),
+                      st.floats(min_value=0.2, max_value=1.5)),
+            max_size=6,
+        ))
+    existing = [PlacedComponent(f"core{i}", "core", r, layer)
+                for i, r in enumerate(rects)]
+    sides = st.floats(min_value=0.1, max_value=0.9)
+    # Ideal centres may sit left of / below the die: the clamped target
+    # then sits on an axis and half the grid reaches negative coordinates.
+    centres = st.floats(min_value=-0.5, max_value=4.5)
+    new = [
+        NewComponent(f"sw{k}", "switch", side, side,
+                     (draw(centres), draw(centres)))
+        for k, side in enumerate(draw(st.lists(sides, min_size=1, max_size=4)))
+    ]
+    if draw(st.booleans()):
+        new = [NewComponent(c.name, c.kind, c.width, c.height,
+                            tuple(np.float64(v) for v in c.ideal_center))
+               for c in new]
+    radius = draw(st.floats(min_value=0.05, max_value=1.5))
+    step = draw(st.floats(min_value=0.08, max_value=0.5))
+    return existing, new, radius, step
+
+
+def _fingerprint(placed):
+    """Every field, coordinates by ``repr`` (which tells a float from an
+    ``np.float64``)."""
+    return [
+        (c.name, c.kind, c.layer,
+         tuple(repr(v) for v in (c.rect.x, c.rect.y, c.rect.width, c.rect.height)))
+        for c in placed
+    ]
+
+
+_DENSE = [PlacedComponent(f"core{i}{j}", "core", Rect(i, j, 1, 1), 0)
+          for i in range(3) for j in range(3)]
+
+
+class TestMatchesNaiveInserter:
+    @settings(max_examples=60, deadline=None)
+    @given(case=_layers())
+    # Empty layer.
+    @example(case=([], [NewComponent("sw0", "switch", 0.5, 0.5, (1.0, 1.0))],
+                   1.5, 0.1))
+    # No free spot within the radius: the displacement path.
+    @example(case=(_DENSE,
+                   [NewComponent("sw0", "switch", 1.0, 1.0,
+                                 (np.float64(1.5), np.float64(1.5)))],
+                   0.3, 0.1))
+    # Grid reaching negative coordinates, pitch not dividing the radius.
+    @example(case=(_DENSE[:1],
+                   [NewComponent("sw0", "switch", 0.4, 0.4, (0.0, 0.0))],
+                   1.0, 0.3))
+    def test_identical_rects_and_report(self, case):
+        existing, new, radius, step = case
+        fast_report, naive_report = InsertionReport(), InsertionReport()
+        fast = insert_components(existing, new, search_radius=radius,
+                                 grid_step=step, report=fast_report)
+        naive = naive_insert_components(existing, new, search_radius=radius,
+                                        grid_step=step, report=naive_report)
+        assert _fingerprint(fast) == _fingerprint(naive)
+        assert fast_report == naive_report
+
+    def test_examples_cover_the_displacement_path(self):
+        report = InsertionReport()
+        new = [NewComponent("sw0", "switch", 1.0, 1.0,
+                            (np.float64(1.5), np.float64(1.5)))]
+        out = insert_components(_DENSE, new, search_radius=0.3,
+                                grid_step=0.1, report=report)
+        assert report.placed_by_displacement == 1
+        assert type(out[-1].rect.x) is np.float64

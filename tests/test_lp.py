@@ -1,11 +1,17 @@
 """LP modelling layer, its HiGHS solve, and the simplex oracle (repro.lp)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from repro.errors import InfeasibleLPError, LPError, UnboundedLPError
 from repro.lp.model import LinearProgram
-from repro.lp.scipy_backend import solve_with_simplex
+from repro.lp.scipy_backend import (
+    _lower_for_linprog,
+    solve_with_scipy,
+    solve_with_simplex,
+)
 from repro.lp.simplex import solve_simplex
 
 BACKENDS = ("scipy", "simplex")
@@ -175,3 +181,75 @@ class TestBackendsAgree:
         sol_a = lp_a.solve()
         sol_b = solve_with_simplex(lp_b)
         assert sol_a.objective == pytest.approx(sol_b.objective, abs=1e-6)
+
+
+def _list_lowering(lp):
+    """The list-of-lists lowering ``solve_with_scipy`` used before it filled
+    preallocated arrays: the identity oracle for the array lowering."""
+    c, rows, bounds = lp.as_arrays()
+    n = len(c)
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for coeffs, sense, rhs in rows:
+        dense = [0.0] * n
+        for idx, coef in coeffs.items():
+            dense[idx] = coef
+        if sense == "<=":
+            a_ub.append(dense)
+            b_ub.append(rhs)
+        elif sense == ">=":
+            a_ub.append([-v for v in dense])
+            b_ub.append(-rhs)
+        else:
+            a_eq.append(dense)
+            b_eq.append(rhs)
+    return {
+        "c": np.asarray(c, dtype=float),
+        "A_ub": np.asarray(a_ub) if a_ub else None,
+        "b_ub": np.asarray(b_ub) if b_ub else None,
+        "A_eq": np.asarray(a_eq) if a_eq else None,
+        "b_eq": np.asarray(b_eq) if b_eq else None,
+        "bounds": bounds,
+    }
+
+
+class TestArrayLowering:
+    def test_matches_list_lowering_on_d26_media_placement_lps(
+        self, monkeypatch
+    ):
+        from repro import SunFloor3D
+        from repro.bench.registry import get_benchmark
+
+        bench = get_benchmark("d26_media")
+        lps = []
+        solve = LinearProgram.solve
+        monkeypatch.setattr(
+            LinearProgram, "solve", lambda lp: lps.append(lp) or solve(lp)
+        )
+        assert SunFloor3D(bench.core_spec_3d, bench.comm_spec).synthesize().points
+        assert lps
+        for lp in lps:
+            old, new = _list_lowering(lp), _lower_for_linprog(lp)
+            for key in ("c", "A_ub", "b_ub", "A_eq", "b_eq"):
+                if old[key] is None:
+                    assert new[key] is None, key
+                    continue
+                # Same values and the same signed zeros of negated rows.
+                np.testing.assert_array_equal(new[key], old[key])
+                assert (np.signbit(new[key]) == np.signbit(old[key])).all(), key
+            assert new["bounds"] == old["bounds"]
+            expected = linprog(**old, method="highs").x
+            assert solve_with_scipy(lp).values == list(expected)
+
+    def test_mixed_senses_keep_row_order(self):
+        lp = LinearProgram()
+        x = lp.add_variable("x", low=0.0)
+        y = lp.add_variable("y", low=0.0)
+        lp.add_constraint({x: 1.0}, ">=", 0.0)
+        lp.add_constraint({x: 1.0, y: 1.0}, "==", 3.0)
+        lp.add_constraint({y: 2.0}, "<=", 4.0)
+        lp.add_constraint({x: 1.0, y: -1.0}, ">=", -1.0)
+        new, old = _lower_for_linprog(lp), _list_lowering(lp)
+        np.testing.assert_array_equal(new["A_ub"], old["A_ub"])
+        np.testing.assert_array_equal(new["b_ub"], [-0.0, 4.0, 1.0])
+        assert np.signbit(new["A_ub"][0, 1]) and np.signbit(new["b_ub"][0])
+        np.testing.assert_array_equal(new["A_eq"], [[1.0, 1.0]])
